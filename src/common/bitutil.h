@@ -35,6 +35,16 @@ inline uint64_t LowBitsMask(int n) {
   return (uint64_t{1} << n) - 1;
 }
 
+/// Zeroes every bit outside the bit range [begin, end) in the words that
+/// span it: words[0] holds bits [begin / 64 * 64, begin / 64 * 64 + 64),
+/// and the span ends with the word holding bit end - 1. Requires begin <
+/// end.
+inline void ClearOutsideRange(uint64_t begin, uint64_t end, uint64_t* words) {
+  words[0] &= ~uint64_t{0} << (begin % 64);
+  words[CeilDiv(end, 64) - begin / 64 - 1] &=
+      LowBitsMask(static_cast<int>((end - 1) % 64) + 1);
+}
+
 }  // namespace bitutil
 }  // namespace incdb
 

@@ -33,10 +33,11 @@ struct QueryStats {
   uint64_t nodes_accessed = 0;
   /// Bitstring-augmented baseline: number of subqueries executed (up to 2^k).
   uint64_t subqueries = 0;
-  /// Row-oracle scans (the plan layer's delta scan over the appended tail
-  /// and the sequential-scan fallback): rows evaluated one by one. Scans
-  /// also charge words_touched with one unit per cell read, so routing's
-  /// predicted-vs-realized cost comparison covers the tail.
+  /// Plan-layer scans (the delta scan over the appended tail and the
+  /// sequential-scan fallback): rows in the scanned range. The scans
+  /// evaluate a 64-row word at a time, but charge one unit per row, and
+  /// words_touched one unit per cell read, so routing's predicted-vs-
+  /// realized cost comparison covers the tail.
   uint64_t rows_scanned = 0;
   /// Bitmap indexes: windows the fused WAH kernels routed through the
   /// dense-block SIMD fast path (decode + vector combine). Zero means every

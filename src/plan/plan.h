@@ -39,11 +39,11 @@ enum class OpKind {
   /// (safe under enclosing kNot). Carries the same effective-semantics
   /// contract as kIndexProbe.
   kSegmentProbe,
-  /// Row-oracle scan over the appended tail [begin_row, end_row) that the
-  /// serving index does not cover. Always a direct child of the sink (a
+  /// Word-kernel scan (MatchWords / ExprMatchWords) over the appended tail
+  /// [begin_row, end_row) that the serving index does not cover. Always a direct child of the sink (a
   /// partial-range scan must never sit under a kNot).
   kDeltaScan,
-  /// Row-oracle scan over the full visible range when no index wins the
+  /// Word-kernel scan over the full visible range when no index wins the
   /// cost race (or none is registered).
   kSeqScanFallback,
   /// Intersection / union / complement of child outputs. kNot flips the

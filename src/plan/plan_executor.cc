@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bitutil.h"
 #include "common/thread_annotations.h"
 
 namespace incdb {
@@ -149,22 +150,32 @@ void RunTask(LeafTask* task, ThreadRole& phase) INCDB_REQUIRES_SHARED(phase) {
     node.segment_outputs[task->begin] = std::move(result).value();
     return;
   }
-  // Scan morsel: row oracle over [begin, end). Charges one rows_scanned
-  // unit per row and one words_touched unit per cell the predicate can
-  // read, so the tail's cost shows up in QueryStats like probe traffic
-  // does (delta rows used to go uncounted).
+  // Scan morsel: the word kernels (query.h, expr.h) evaluate [begin, end)
+  // a column and a 64-row word at a time, and the morsel ORs its whole
+  // words into the output (morsels never share a word). Charges one
+  // rows_scanned unit per row and one words_touched unit per cell the
+  // predicate can read, so the tail's cost shows up in QueryStats like
+  // probe traffic does.
   const uint64_t cells_per_row =
       node.scan_expr.has_value()
           ? CountExprLeaves(*node.scan_expr)
           : static_cast<uint64_t>(node.scan_query.terms.size());
-  for (uint64_t row = task->begin; row < task->end; ++row) {
-    const bool match =
-        node.scan_expr.has_value()
-            ? ExprMatches(*node.table, row, *node.scan_expr,
-                          node.scan_semantics)
-            : RowMatches(*node.table, row, node.scan_query);
-    if (match) node.output.Set(row);
+  const uint64_t first_row = task->begin / 64 * 64;
+  std::vector<uint64_t> words(bitutil::CeilDiv(task->end, 64) -
+                              first_row / 64);
+  if (node.scan_expr.has_value()) {
+    ExprMatchWords(*node.table, *node.scan_expr, node.scan_semantics,
+                   task->begin, task->end, words.data());
+  } else {
+    MatchWords(*node.table, node.scan_query, task->begin, task->end,
+               words.data());
   }
+  auto morsel = BitVector::FromWords(task->end - first_row, std::move(words));
+  if (!morsel.ok()) {
+    task->status = morsel.status();
+    return;
+  }
+  node.output.OrAt(*morsel, first_row);
   task->stats.rows_scanned += task->end - task->begin;
   task->stats.words_touched += (task->end - task->begin) * cells_per_row;
 }

@@ -1,5 +1,8 @@
 #include "query/expr.h"
 
+#include <algorithm>
+
+#include "common/bitutil.h"
 #include "common/logging.h"
 
 namespace incdb {
@@ -202,6 +205,72 @@ bool ExprMatches(const Table& table, uint64_t row, const QueryExpr& expr,
     return truth != Truth::kFalse;  // possible answer
   }
   return truth == Truth::kTrue;  // certain answer
+}
+
+namespace {
+
+/// Fills the T (`certain`) and P (`possible`) masks of `expr` over rows
+/// [begin, end), `words` words each.
+void KleeneWords(const Table& table, const QueryExpr& expr, uint64_t begin,
+                 uint64_t end, size_t words, uint64_t* certain,
+                 uint64_t* possible) {
+  switch (expr.kind()) {
+    case QueryExpr::Kind::kTerm:
+      TermWords(table.column(expr.attribute()), expr.interval(), begin, end,
+                certain, possible);
+      for (size_t w = 0; w < words; ++w) possible[w] |= certain[w];
+      return;
+    case QueryExpr::Kind::kAnd:
+    case QueryExpr::Kind::kOr: {
+      // Start from the operator's identity (true for AND, false for OR).
+      const bool is_and = expr.kind() == QueryExpr::Kind::kAnd;
+      std::fill(certain, certain + words, is_and ? ~uint64_t{0} : 0);
+      if (is_and) bitutil::ClearOutsideRange(begin, end, certain);
+      std::copy(certain, certain + words, possible);
+      std::vector<uint64_t> child_certain(words);
+      std::vector<uint64_t> child_possible(words);
+      for (const QueryExpr& child : expr.children()) {
+        KleeneWords(table, child, begin, end, words, child_certain.data(),
+                    child_possible.data());
+        for (size_t w = 0; w < words; ++w) {
+          if (is_and) {
+            certain[w] &= child_certain[w];
+            possible[w] &= child_possible[w];
+          } else {
+            certain[w] |= child_certain[w];
+            possible[w] |= child_possible[w];
+          }
+        }
+      }
+      return;
+    }
+    case QueryExpr::Kind::kNot:
+      KleeneWords(table, expr.children().front(), begin, end, words, certain,
+                  possible);
+      for (size_t w = 0; w < words; ++w) {
+        const uint64_t child_certain = certain[w];
+        certain[w] = ~possible[w];
+        possible[w] = ~child_certain;
+      }
+      bitutil::ClearOutsideRange(begin, end, certain);
+      bitutil::ClearOutsideRange(begin, end, possible);
+      return;
+  }
+}
+
+}  // namespace
+
+void ExprMatchWords(const Table& table, const QueryExpr& expr,
+                    MissingSemantics semantics, uint64_t begin, uint64_t end,
+                    uint64_t* out) {
+  if (begin >= end) return;
+  const size_t words = bitutil::CeilDiv(end, 64) - begin / 64;
+  std::vector<uint64_t> other(words);
+  if (semantics == MissingSemantics::kMatch) {
+    KleeneWords(table, expr, begin, end, words, other.data(), out);
+  } else {
+    KleeneWords(table, expr, begin, end, words, out, other.data());
+  }
 }
 
 }  // namespace incdb

@@ -80,6 +80,17 @@ class QueryExpr {
 bool ExprMatches(const Table& table, uint64_t row, const QueryExpr& expr,
                  MissingSemantics semantics);
 
+/// Word kernel of ExprMatches over rows [begin, end); word layout as for
+/// MatchWords (query.h). Every node yields two masks per word: T, the rows
+/// where it is certainly true, and P, the rows where it is possibly true.
+/// A term gives T = in and P = in | missing; AND and OR act on both masks;
+/// NOT swaps them (T' = ~P, P' = ~T) and clears the bits outside the
+/// range. The answer is P under missing-is-match, T under
+/// missing-not-match.
+void ExprMatchWords(const Table& table, const QueryExpr& expr,
+                    MissingSemantics semantics, uint64_t begin, uint64_t end,
+                    uint64_t* out);
+
 }  // namespace incdb
 
 #endif  // INCDB_QUERY_EXPR_H_

@@ -63,6 +63,27 @@ Status ValidateQuery(const RangeQuery& query, const Table& table);
 /// must agree with it exactly.
 bool RowMatches(const Table& table, uint64_t row, const RangeQuery& query);
 
+// Word kernels: the row predicates evaluated one 64-row word at a time,
+// straight off a column's contiguous cells. They must agree bit for bit
+// with the row oracles above and in expr.h. Rows [begin, end) map onto
+// words [begin / 64, CeilDiv(end, 64)): out[i] is word begin / 64 + i, and
+// its bit j is row (begin / 64 + i) * 64 + j. Every bit of a row outside
+// [begin, end) is written zero. Only cells of rows in [begin, end) are
+// read, so a reader may evaluate rows below its snapshot watermark while
+// the writer appends.
+
+/// Masks of one interval term: `in` has a bit per row whose cell lies in
+/// `interval`, `missing` a bit per row whose cell is missing. Each array
+/// holds CeilDiv(end, 64) - begin / 64 words.
+void TermWords(const Column& column, Interval interval, uint64_t begin,
+               uint64_t end, uint64_t* in, uint64_t* missing);
+
+/// Word kernel of RowMatches: the conjunction ANDs each term's `in` mask
+/// under missing-not-match and its `in | missing` mask under
+/// missing-is-match.
+void MatchWords(const Table& table, const RangeQuery& query, uint64_t begin,
+                uint64_t end, uint64_t* out);
+
 }  // namespace incdb
 
 #endif  // INCDB_QUERY_QUERY_H_

@@ -52,11 +52,13 @@ Column Column::BorrowedExtents(uint32_t cardinality,
   return column;
 }
 
-Value Column::GetFromExtents(uint64_t row) const {
+Column::Contiguous Column::ContiguousInExtents(uint64_t row) const {
   const auto it = std::upper_bound(extent_starts_.begin(),
                                    extent_starts_.end(), row);
   const size_t e = static_cast<size_t>(it - extent_starts_.begin()) - 1;
-  return extent_values_[e][row - extent_starts_[e]];
+  const uint64_t extent_end =
+      it == extent_starts_.end() ? num_borrowed_ : *it;
+  return {extent_values_[e] + (row - extent_starts_[e]), extent_end - row};
 }
 
 Column::Column(const Column& other)

@@ -97,17 +97,36 @@ class Column {
     ++size_;
   }
 
-  /// Value at `row` (kMissingValue if the cell is missing).
-  Value Get(uint64_t row) const {
+  /// Cells laid out back to back in memory: `data[i]` is the cell of row
+  /// `row + i` for i < count, where `row` is the row asked for.
+  struct Contiguous {
+    const Value* data = nullptr;
+    uint64_t count = 0;
+  };
+
+  /// The address of `row`'s cell and how many cells, starting with it, are
+  /// contiguous: up to the end of the heap block, the single borrowed
+  /// prefix, or the borrowed extent that holds `row`. A heap block's count
+  /// runs to the block's capacity, past the rows written so far; the
+  /// caller bounds its reads by the rows it knows exist. Never reads the
+  /// row counter, so a reader may call it for any row below its snapshot
+  /// watermark while the writer appends (the scan kernels in query.h walk
+  /// the appended tail this way). Requires a row inside an allocated block.
+  Contiguous ContiguousAt(uint64_t row) const {
     if (row < num_borrowed_) {
-      if (borrowed_ != nullptr) return borrowed_[row];
-      return GetFromExtents(row);
+      if (borrowed_ != nullptr) return {borrowed_ + row, num_borrowed_ - row};
+      return ContiguousInExtents(row);
     }
     const uint64_t biased = (row - num_borrowed_) + kFirstBlockSize;
     const int high_bit = 63 - __builtin_clzll(biased);
-    return blocks_[static_cast<size_t>(high_bit) - kFirstBlockBits]
-                  [biased - (uint64_t{1} << high_bit)];
+    const uint64_t offset = biased - (uint64_t{1} << high_bit);
+    return {blocks_[static_cast<size_t>(high_bit) - kFirstBlockBits].get() +
+                offset,
+            (uint64_t{1} << high_bit) - offset};
   }
+
+  /// Value at `row` (kMissingValue if the cell is missing).
+  Value Get(uint64_t row) const { return *ContiguousAt(row).data; }
 
   bool IsMissingAt(uint64_t row) const { return IsMissing(Get(row)); }
 
@@ -131,7 +150,7 @@ class Column {
  private:
   /// Multi-extent prefix lookup (out of line: the single-extent and heap
   /// paths stay branch-cheap in the header).
-  Value GetFromExtents(uint64_t row) const;
+  Contiguous ContiguousInExtents(uint64_t row) const;
 
   /// First block holds 2^kFirstBlockBits values; block i holds twice as
   /// many as block i-1. 48 blocks cover far more rows than the uint32_t

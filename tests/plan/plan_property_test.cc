@@ -6,11 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "core/database.h"
 #include "core/index_factory.h"
+#include "core/segments.h"
 #include "plan/plan_executor.h"
 #include "plan/planner.h"
 #include "query/expr.h"
@@ -116,27 +121,30 @@ TEST_P(PlanPropertyTest, BareExpressionPlansAgreeWithOracle) {
   }
 }
 
-// End-to-end through Database::Run: index + appended tail (delta scan) +
-// deletions, under serial, parallel, and count-only execution.
-TEST_P(PlanPropertyTest, SnapshotPlansAgreeWithOracleUnderDeltaAndDeletes) {
-  Database db =
-      Database::FromTable(GenerateTable(UniformSpec(300, 6, 0.25, 3, 617))
-                              .value())
-          .value();
-  ASSERT_TRUE(db.BuildIndex(GetParam()).ok());
-  // Appended tail the index does not cover, with missing cells in it.
-  for (int i = 0; i < 25; ++i) {
+// Appends `count` rows with missing cells in attribute 1, starting from
+// pattern position `first`.
+void AppendTail(Database* db, int first, int count) {
+  for (int i = first; i < first + count; ++i) {
     const std::vector<Value> row = {
         static_cast<Value>(1 + i % 6),
         i % 3 == 0 ? kMissingValue : static_cast<Value>(1 + (i * 5) % 6),
         static_cast<Value>(1 + i % 2)};
-    ASSERT_TRUE(db.Insert(row).ok());
+    ASSERT_TRUE(db->Insert(row).ok());
   }
-  // Deletions on both sides of the coverage boundary.
-  ASSERT_TRUE(db.Delete(3).ok());
-  ASSERT_TRUE(db.Delete(108).ok());
-  ASSERT_TRUE(db.Delete(310).ok());
+}
 
+Database IndexedDatabase(uint64_t rows, uint64_t seed, IndexKind kind) {
+  Database db =
+      Database::FromTable(GenerateTable(UniformSpec(rows, 6, 0.25, 3, seed))
+                              .value())
+          .value();
+  EXPECT_TRUE(db.BuildIndex(kind).ok());
+  return db;
+}
+
+// Every fixture through Database::Run — serial, parallel and count-only —
+// against the oracle over the live rows.
+void ExpectRunsAgreeWithOracle(const Database& db) {
   const auto oracle = [&db](auto matches) {
     std::vector<uint32_t> rows;
     for (uint64_t r = 0; r < db.num_rows(); ++r) {
@@ -201,6 +209,69 @@ TEST_P(PlanPropertyTest, SnapshotPlansAgreeWithOracleUnderDeltaAndDeletes) {
         db.Run(QueryRequest::Text("a0 IN [2,4] AND NOT a1 = 3", semantics));
     ASSERT_TRUE(text.ok()) << text.status().ToString();
     EXPECT_EQ(text->row_ids, expected);
+  }
+}
+
+// End-to-end through Database::Run: index + appended tail (delta scan) +
+// deletions, under serial, parallel, and count-only execution. The tails
+// are shaped for the scan's word kernel: each has an odd length, all but
+// the segmented reopen start mid-word, and between them they cross 64-row
+// words, a column heap-block boundary, a reopened store's borrowed cells
+// onto the heap, and a morsel boundary.
+TEST_P(PlanPropertyTest, SnapshotPlansAgreeWithOracleUnderDeltaAndDeletes) {
+  {
+    SCOPED_TRACE("25-row tail over rows [300, 325)");
+    Database db = IndexedDatabase(300, 617, GetParam());
+    AppendTail(&db, 0, 25);
+    // Deletions on both sides of the coverage boundary.
+    ASSERT_TRUE(db.Delete(3).ok());
+    ASSERT_TRUE(db.Delete(108).ok());
+    ASSERT_TRUE(db.Delete(310).ok());
+    ExpectRunsAgreeWithOracle(db);
+  }
+  {
+    // Generated columns fill heap blocks of 1Ki, then 2Ki rows.
+    SCOPED_TRACE("tail across the column's 1Ki -> 2Ki heap-block boundary");
+    Database db = IndexedDatabase(300, 619, GetParam());
+    AppendTail(&db, 0, 851);
+    ASSERT_TRUE(db.Delete(1023).ok());
+    ASSERT_TRUE(db.Delete(1024).ok());
+    ExpectRunsAgreeWithOracle(db);
+  }
+  {
+    SCOPED_TRACE("reopened store: borrowed tail cells, then heap appends");
+    Database db = IndexedDatabase(300, 621, GetParam());
+    AppendTail(&db, 0, 25);
+    if (IsSegmentIndexKind(GetParam())) {
+      // Seals rows [0, 256) as one segment; the reopened columns stitch the
+      // segment's cells and the unsealed tail from two extents.
+      SegmentOptions segments;
+      segments.segment_rows = 256;
+      segments.index_kind = GetParam();
+      ASSERT_TRUE(db.EnableSegments(segments).ok());
+    }
+    const std::string dir = ::testing::TempDir() + "plan_property_" +
+                            std::to_string(getpid()) + "_" +
+                            std::string(IndexKindToString(GetParam()));
+    ASSERT_TRUE(db.Save(dir).ok());
+    {
+      auto reopened = Database::Open(dir);
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      // The word of rows [320, 384) holds borrowed and heap cells.
+      AppendTail(&reopened.value(), 25, 160);
+      ASSERT_TRUE(reopened->Delete(320).ok());
+      ExpectRunsAgreeWithOracle(*reopened);
+    }
+    std::filesystem::remove_all(dir);
+  }
+  {
+    // Database::Run uses 64Ki-row morsels, so Parallel(4) splits this tail
+    // into two morsels.
+    SCOPED_TRACE("tail across the morsel boundary at row 65536");
+    Database db = IndexedDatabase(65500, 623, GetParam());
+    AppendTail(&db, 0, 101);
+    ASSERT_TRUE(db.Delete(65535).ok());
+    ExpectRunsAgreeWithOracle(db);
   }
 }
 

@@ -271,6 +271,31 @@ CompactionStats Database::GetCompactionStats() const {
   return stats;
 }
 
+namespace {
+
+/// Runs task(i) for every i in [0, tasks) and returns when all are done.
+/// Up to one thread per hardware thread, and no more threads than tasks,
+/// claim the tasks in turn; the calling thread is one of them.
+template <typename Task>
+void RunTasks(size_t tasks, const Task& task) {
+  std::atomic<size_t> next{0};
+  auto worker = [&]() {
+    for (;;) {
+      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= tasks) return;
+      task(i);
+    }
+  };
+  const size_t workers = std::min<size_t>(
+      std::max(1u, std::thread::hardware_concurrency()), tasks);
+  std::vector<std::thread> threads;
+  for (size_t t = 1; t < workers; ++t) threads.emplace_back(worker);
+  worker();
+  for (std::thread& thread : threads) thread.join();
+}
+
+}  // namespace
+
 Status Database::CompactNow() {
   const MutexLock writer_lock(&shared_->writer_mu);
   const uint64_t total = table_->num_rows();
@@ -386,8 +411,8 @@ Status Database::CompactNow() {
     }
     flush_run(true);
 
-    // Build the missing indexes in parallel (same worker pattern as
-    // sealing), then assemble the list in row order.
+    // Build the missing indexes in parallel, then assemble the list in row
+    // order.
     std::vector<size_t> to_build;
     for (size_t i = 0; i < descs.size(); ++i) {
       if (descs[i].carried == nullptr) to_build.push_back(i);
@@ -397,38 +422,19 @@ Status Database::CompactNow() {
     std::vector<uint64_t> ids(to_build.size());
     for (size_t j = 0; j < to_build.size(); ++j) ids[j] = next_content_id_++;
     const IndexKind kind = segment_list_->options.index_kind;
-    std::atomic<size_t> next{0};
-    std::vector<Status> errors;
-    Mutex errors_mu;
-    auto worker = [&]() {
-      for (;;) {
-        const size_t j = next.fetch_add(1, std::memory_order_relaxed);
-        if (j >= to_build.size()) return;
-        const Desc& d = descs[to_build[j]];
-        Result<internal::Segment> seg = internal::BuildSealedSegment(
-            *new_table, d.begin, d.rows, kind, ids[j]);
-        if (!seg.ok()) {
-          const MutexLock lock(&errors_mu);
-          errors.push_back(seg.status());
-          return;
-        }
-        built_segs[to_build[j]] =
-            std::make_shared<const internal::Segment>(std::move(seg).value());
+    std::vector<Status> statuses(to_build.size());
+    RunTasks(to_build.size(), [&](size_t j) {
+      const Desc& d = descs[to_build[j]];
+      Result<internal::Segment> seg = internal::BuildSealedSegment(
+          *new_table, d.begin, d.rows, kind, ids[j]);
+      if (!seg.ok()) {
+        statuses[j] = seg.status();
+        return;
       }
-    };
-    unsigned workers =
-        std::max(1u, std::min<unsigned>(std::thread::hardware_concurrency(),
-                                        static_cast<unsigned>(
-                                            to_build.size())));
-    if (workers <= 1) {
-      worker();
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(workers);
-      for (unsigned t = 0; t < workers; ++t) threads.emplace_back(worker);
-      for (std::thread& t : threads) t.join();
-    }
-    if (!errors.empty()) return errors.front();
+      built_segs[to_build[j]] =
+          std::make_shared<const internal::Segment>(std::move(seg).value());
+    });
+    for (const Status& status : statuses) INCDB_RETURN_IF_ERROR(status);
     built = to_build.size();
 
     auto list = std::make_shared<internal::SegmentList>();
@@ -449,16 +455,29 @@ Status Database::CompactNow() {
   }
 
   // Registry indexes cover the old row numbering; rebuild them over the
-  // surviving rows. An empty store drops them (nothing to cover) — rebuilt
-  // by the next BuildIndex.
+  // surviving rows, in parallel, so the writer holds writer_mu for about
+  // the slowest build rather than the sum of them. An empty store drops
+  // them (nothing to cover) — rebuilt by the next BuildIndex.
   std::vector<internal::SnapshotIndexEntry> entries;
   if (new_table->num_rows() > 0) {
-    for (const internal::SnapshotIndexEntry& old : *registry_) {
-      INCDB_ASSIGN_OR_RETURN(std::unique_ptr<IncompleteIndex> index,
-                             CreateIndex(old.kind, *new_table));
+    const std::vector<internal::SnapshotIndexEntry>& old = *registry_;
+    std::vector<std::unique_ptr<IncompleteIndex>> indexes(old.size());
+    std::vector<Status> statuses(old.size());
+    RunTasks(old.size(), [&](size_t i) {
+      Result<std::unique_ptr<IncompleteIndex>> index =
+          CreateIndex(old[i].kind, *new_table);
+      if (index.ok()) {
+        indexes[i] = std::move(index).value();
+      } else {
+        statuses[i] = index.status();
+      }
+    });
+    for (size_t i = 0; i < old.size(); ++i) {
+      INCDB_RETURN_IF_ERROR(statuses[i]);
       internal::SnapshotIndexEntry entry;
-      entry.kind = old.kind;
-      entry.index = std::shared_ptr<const IncompleteIndex>(std::move(index));
+      entry.kind = old[i].kind;
+      entry.index =
+          std::shared_ptr<const IncompleteIndex>(std::move(indexes[i]));
       entry.covered_rows = new_table->num_rows();
       entries.push_back(std::move(entry));
     }

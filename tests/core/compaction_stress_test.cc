@@ -1,10 +1,12 @@
 // Compaction stress: readers race a writer that inserts, deletes, and
 // physically compacts a segmented store (plus the background compactor in
-// the second case). Run under TSan in the nightly long-variant job
-// (--gtest_repeat) to prove the epoch swap keeps compaction invisible to
-// readers; under any build every answer is checked against the row-level
-// oracle evaluated at its own pinned snapshot, so a reader observing a
-// half-compacted store surfaces as a wrong answer, not just a race report.
+// the second case), or a store whose registry indexes every compaction
+// rebuilds in parallel (the third case). Run under TSan in the nightly
+// long-variant job (--gtest_repeat) to prove the epoch swap keeps
+// compaction invisible to readers; under any build every answer is checked
+// against the row-level oracle evaluated at its own pinned snapshot, so a
+// reader observing a half-compacted store surfaces as a wrong answer, not
+// just a race report.
 
 #include <gtest/gtest.h>
 
@@ -61,6 +63,23 @@ Database MakeDb(uint64_t seed) {
   return db;
 }
 
+/// No segments: registry indexes serve the rows they cover, and each
+/// CompactNow rebuilds all four of them over the rewritten table.
+Database MakeIndexedDb(uint64_t seed) {
+  Database db =
+      Database::FromTable(
+          GenerateTable(UniformSpec(6 * kSegmentRows, kCardinality, 0.2,
+                                    kDims, seed))
+              .value())
+          .value();
+  for (const IndexKind kind :
+       {IndexKind::kBitmapEquality, IndexKind::kBitmapRange,
+        IndexKind::kBitmapInterval, IndexKind::kVaFile}) {
+    EXPECT_TRUE(db.BuildIndex(kind).ok());
+  }
+  return db;
+}
+
 void ReaderLoop(const Database& db, size_t id,
                 const std::atomic<bool>& writer_done,
                 std::atomic<uint64_t>& verified, std::atomic<int>& failures) {
@@ -95,9 +114,8 @@ void ReaderLoop(const Database& db, size_t id,
   }
 }
 
-TEST(CompactionStressTest, ReadersRaceExplicitCompaction) {
-  Database db = MakeDb(2401);
-
+/// Readers race a writer that inserts, deletes and calls CompactNow.
+void RaceExplicitCompaction(Database& db) {
   std::atomic<bool> writer_done{false};
   std::atomic<uint64_t> verified{0};
   std::atomic<int> failures{0};
@@ -148,6 +166,22 @@ TEST(CompactionStressTest, ReadersRaceExplicitCompaction) {
   EXPECT_GE(verified.load(), kNumReaders * kReaderQueries);
   EXPECT_EQ(db.num_deleted_rows(), 0u);  // final CompactNow reclaimed all
   EXPECT_GE(db.GetCompactionStats().compactions, 1u);
+}
+
+TEST(CompactionStressTest, ReadersRaceExplicitCompaction) {
+  Database db = MakeDb(2401);
+  RaceExplicitCompaction(db);
+}
+
+TEST(CompactionStressTest, ReadersRaceCompactionRebuildingRegistryIndexes) {
+  Database db = MakeIndexedDb(2411);
+  RaceExplicitCompaction(db);
+  // The final compaction rebuilt every index over the whole store.
+  const Snapshot snapshot = db.GetSnapshot();
+  ASSERT_EQ(snapshot.state().indexes->size(), 4u);
+  for (const internal::SnapshotIndexEntry& entry : *snapshot.state().indexes) {
+    EXPECT_EQ(entry.covered_rows, snapshot.num_rows());
+  }
 }
 
 TEST(CompactionStressTest, ReadersRaceBackgroundCompactor) {

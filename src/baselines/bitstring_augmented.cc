@@ -117,28 +117,6 @@ Result<BitVector> BitstringAugmentedIndex::Execute(const RangeQuery& query,
   return result;
 }
 
-Status BitstringAugmentedIndex::AppendRow(const std::vector<Value>& row) {
-  if (row.size() != num_attrs_) {
-    return Status::InvalidArgument(
-        "row has " + std::to_string(row.size()) + " values, index has " +
-        std::to_string(num_attrs_) + " attributes");
-  }
-  std::vector<int32_t> point(num_attrs_);
-  std::vector<uint64_t> bits(words_per_record_, 0);
-  for (size_t a = 0; a < num_attrs_; ++a) {
-    if (IsMissing(row[a])) {
-      point[a] = means_[a];
-      bits[a / 64] |= uint64_t{1} << (a % 64);
-    } else {
-      point[a] = row[a];
-    }
-  }
-  rtree_.Insert(point, static_cast<uint32_t>(num_rows_));
-  bitstrings_.insert(bitstrings_.end(), bits.begin(), bits.end());
-  ++num_rows_;
-  return Status::OK();
-}
-
 uint64_t BitstringAugmentedIndex::SizeInBytes() const {
   return rtree_.SizeInBytes() + bitstrings_.size() * sizeof(uint64_t) +
          means_.size() * sizeof(int32_t);

@@ -38,10 +38,6 @@ class BitstringAugmentedIndex : public IncompleteIndex {
                             QueryStats* stats = nullptr) const override;
   uint64_t SizeInBytes() const override;
 
-  /// Inserts the row into the R-tree; missing coordinates map to the means
-  /// frozen at Build time (so earlier records stay consistent).
-  Status AppendRow(const std::vector<Value>& row) override;
-
  private:
   BitstringAugmentedIndex(uint64_t num_rows, size_t num_attrs, RTree rtree,
                           std::vector<int32_t> means,

@@ -61,21 +61,6 @@ Result<BitVector> MosaicIndex::Execute(const RangeQuery& query,
   return result;
 }
 
-Status MosaicIndex::AppendRow(const std::vector<Value>& row) {
-  if (row.size() != trees_.size()) {
-    return Status::InvalidArgument(
-        "row has " + std::to_string(row.size()) + " values, index has " +
-        std::to_string(trees_.size()) + " attributes");
-  }
-  const uint32_t record = static_cast<uint32_t>(num_rows_);
-  for (size_t a = 0; a < row.size(); ++a) {
-    const Value v = row[a];
-    trees_[a].Insert(IsMissing(v) ? kMissingKey : v, record);
-  }
-  ++num_rows_;
-  return Status::OK();
-}
-
 Status MosaicIndex::SaveTo(BinaryWriter& writer) const {
   writer.WriteU64(num_rows_);
   writer.WriteU64(trees_.size());

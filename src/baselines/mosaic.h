@@ -32,9 +32,6 @@ class MosaicIndex : public IncompleteIndex {
                             QueryStats* stats = nullptr) const override;
   uint64_t SizeInBytes() const override;
 
-  /// Inserts the row into every per-attribute B+-tree.
-  Status AppendRow(const std::vector<Value>& row) override;
-
   /// Serializes the index into `writer` as per-tree sorted (key, record)
   /// entry lists (the storage engine's catalog path; trees are rebuilt by
   /// bulk insertion on load).

@@ -1,28 +1,45 @@
 #include "bitmap/bitmap_index.h"
 
 #include <algorithm>
-#include <fstream>
 
 #include "bitmap/slicer.h"
 #include "common/bitutil.h"
-#include "common/io.h"
 #include "common/logging.h"
 
 namespace incdb {
 
-Result<BitmapIndex> BitmapIndex::Build(const Table& table, Options options) {
-  if (table.num_rows() == 0) {
-    return Status::InvalidArgument("cannot build a bitmap index on an empty table");
+namespace {
+
+// The option combinations the engine can build and answer.
+Status CheckOptions(const BitmapIndex::Options& options) {
+  if (options.scheme != SlotScheme::kDirect &&
+      (options.encoding != BitmapEncoding::kEquality ||
+       options.missing_strategy != MissingStrategy::kExtraBitmap)) {
+    return Status::NotSupported(
+        "multi-component and hierarchical slicers take equality encoding "
+        "with the extra missing bitmap only");
   }
   if (options.missing_strategy != MissingStrategy::kExtraBitmap &&
       options.encoding != BitmapEncoding::kEquality) {
     return Status::NotSupported(
         "kAllOnes/kAllZeros missing strategies apply to equality encoding only");
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<BitmapIndex> BitmapIndex::Build(const Table& table, Options options) {
+  if (table.num_rows() == 0) {
+    return Status::InvalidArgument("cannot build a bitmap index on an empty table");
+  }
+  INCDB_RETURN_IF_ERROR(CheckOptions(options));
 
   const uint64_t n = table.num_rows();
   std::vector<AttributeBitmaps> attributes;
+  std::vector<Slicer> slicers;
   attributes.reserve(table.num_attributes());
+  slicers.reserve(table.num_attributes());
 
   for (size_t a = 0; a < table.num_attributes(); ++a) {
     const Column& column = table.column(a);
@@ -39,42 +56,58 @@ Result<BitmapIndex> BitmapIndex::Build(const Table& table, Options options) {
           "cardinality is 1 (paper §4.2)");
     }
 
-    // One direct axis (slot j-1 = value j) fed through the shared encoding
-    // engine; the composite index kinds run the same loop over multi-axis
-    // slicers (composite_index.cc).
+    // The slicer maps each value to one slot per axis; one encoder per
+    // axis turns the slot stream into that axis's bitvectors.
     INCDB_ASSIGN_OR_RETURN(Slicer slicer,
-                           Slicer::Create(SlotScheme::kDirect, cardinality));
-    AxisEncoder encoder(options.encoding, cardinality);
+                           Slicer::Create(options.scheme, cardinality));
+    std::vector<AxisEncoder> encoders;
+    encoders.reserve(slicer.num_axes());
+    for (size_t axis = 0; axis < slicer.num_axes(); ++axis) {
+      encoders.emplace_back(options.encoding, slicer.num_slots(axis));
+    }
     SetBitBuilder missing_builder;
     for (uint64_t r = 0; r < n; ++r) {
       const Value v = column.Get(r);
       if (IsMissing(v)) {
         switch (options.missing_strategy) {
           case MissingStrategy::kExtraBitmap:
+            // B_{i,0} once per attribute, never per axis.
             missing_builder.SetBitAt(r);
-            encoder.AddMissingRow(r);  // range: missing counts as value 0
+            encoders[0].AddMissingRow(r);  // range: missing counts as value 0
             break;
-          case MissingStrategy::kAllOnes:
-            for (uint32_t s = 0; s < cardinality; ++s) encoder.AddRow(r, s);
+          case MissingStrategy::kAllOnes:  // direct scheme only
+            for (uint32_t s = 0; s < cardinality; ++s) encoders[0].AddRow(r, s);
             break;
           case MissingStrategy::kAllZeros:
             break;  // absent from every bitmap
         }
       } else {
-        encoder.AddRow(r, slicer.SlotOf(v, 0));
+        for (size_t axis = 0; axis < encoders.size(); ++axis) {
+          encoders[axis].AddRow(r, slicer.SlotOf(v, axis));
+        }
       }
     }
-    ab.values = encoder.Finish(n);
+    ab.axes.reserve(encoders.size());
+    for (AxisEncoder& encoder : encoders) ab.axes.push_back(encoder.Finish(n));
     if (ab.has_missing &&
         options.missing_strategy == MissingStrategy::kExtraBitmap) {
       ab.missing = missing_builder.Finish(n);
     }
     attributes.push_back(std::move(ab));
+    slicers.push_back(std::move(slicer));
   }
-  return BitmapIndex(options, n, std::move(attributes));
+  return BitmapIndex(options, n, std::move(attributes), std::move(slicers));
 }
 
 std::string BitmapIndex::Name() const {
+  switch (options_.scheme) {
+    case SlotScheme::kMultiComponent:
+      return "MC-WAH";
+    case SlotScheme::kHierarchical:
+      return "HIER-WAH";
+    case SlotScheme::kDirect:
+      break;
+  }
   std::string name(BitmapEncodingToString(options_.encoding));
   name += "-WAH";
   switch (options_.missing_strategy) {
@@ -90,13 +123,136 @@ std::string BitmapIndex::Name() const {
   return name;
 }
 
-AxisRef BitmapIndex::AxisOf(const AttributeBitmaps& ab) const {
-  AxisRef axis;
-  axis.num_slots = ab.cardinality;
-  axis.bitmaps = std::span<const WahBitVector>(ab.values);
-  axis.missing = ab.missing.has_value() ? &*ab.missing : nullptr;
-  axis.num_rows = num_rows_;
-  return axis;
+AxisRef BitmapIndex::AxisOf(size_t attr, size_t axis) const {
+  const AttributeBitmaps& ab = attributes_[attr];
+  AxisRef ref;
+  ref.num_slots = slicers_[attr].num_slots(axis);
+  ref.bitmaps = std::span<const WahBitVector>(ab.axes[axis]);
+  ref.missing = ab.missing.has_value() ? &*ab.missing : nullptr;
+  ref.num_rows = num_rows_;
+  return ref;
+}
+
+WahBitVector BitmapIndex::EvalMixedRadix(size_t attr, size_t axis,
+                                         uint64_t lo, uint64_t hi,
+                                         QueryStats* stats) const {
+  // Rows whose mixed-radix code over axes [0, axis] lies in [lo, hi] —
+  // standard digit-range decomposition: split on the top digit, recurse on
+  // the edge digits' remainders, answer the aligned middle with one
+  // per-axis slot interval. Every per-axis probe goes through the shared
+  // equality evaluator under no-match semantics, so B_0 strips missing
+  // rows on the complement path and the AND/OR composition never
+  // resurrects them.
+  auto digit_range = [&](uint64_t d_lo, uint64_t d_hi) -> WahBitVector {
+    if (stats != nullptr) ++stats->probe_components;
+    return EvaluateSlotInterval(
+        BitmapEncoding::kEquality, AxisOf(attr, axis),
+        {static_cast<Value>(d_lo + 1), static_cast<Value>(d_hi + 1)},
+        MissingStrategy::kExtraBitmap, MissingSemantics::kNoMatch, stats);
+  };
+  auto count_op = [&](uint64_t n = 1) {
+    if (stats != nullptr) stats->bitvector_ops += n;
+  };
+  if (axis == 0) return digit_range(lo, hi);
+
+  const uint64_t div = slicers_[attr].axes()[axis].divisor;
+  const uint64_t d_lo = lo / div;
+  const uint64_t d_hi = hi / div;
+  const uint64_t rem_lo = lo % div;
+  const uint64_t rem_hi = hi % div;
+
+  if (d_lo == d_hi) {
+    WahBitVector sub = EvalMixedRadix(attr, axis - 1, rem_lo, rem_hi, stats);
+    count_op();
+    return digit_range(d_lo, d_lo).And(sub);
+  }
+
+  std::vector<WahBitVector> pieces;
+  uint64_t mid_lo = d_lo;
+  uint64_t mid_hi = d_hi;
+  if (rem_lo != 0) {
+    // Low edge: top digit d_lo, lower digits >= rem_lo.
+    WahBitVector sub = EvalMixedRadix(attr, axis - 1, rem_lo, div - 1, stats);
+    count_op();
+    pieces.push_back(digit_range(d_lo, d_lo).And(sub));
+    ++mid_lo;
+  }
+  if (rem_hi != div - 1) {
+    // High edge: top digit d_hi, lower digits <= rem_hi.
+    WahBitVector sub = EvalMixedRadix(attr, axis - 1, 0, rem_hi, stats);
+    count_op();
+    pieces.push_back(digit_range(d_hi, d_hi).And(sub));
+    --mid_hi;
+  }
+  if (mid_lo <= mid_hi) {
+    // Aligned middle: every lower-digit combination matches, so the top
+    // digit interval alone decides (slots past the domain hold empty
+    // bitmaps and OR away harmlessly).
+    pieces.push_back(digit_range(mid_lo, mid_hi));
+  }
+  if (pieces.size() == 1) return std::move(pieces.front());
+  std::vector<const WahBitVector*> ptrs;
+  ptrs.reserve(pieces.size());
+  for (const WahBitVector& piece : pieces) ptrs.push_back(&piece);
+  count_op(pieces.size() - 1);
+  WahStatsScope op_scope(stats);
+  return WahBitVector::OrMany(ptrs, op_scope.get());
+}
+
+WahBitVector BitmapIndex::EvalHierarchical(size_t attr, Interval interval,
+                                           MissingSemantics semantics,
+                                           QueryStats* stats) const {
+  // Segment-tree cover of [lo, hi]: peel an unaligned edge bin per side,
+  // ascend one level, repeat — at most two bins per level, all fused into
+  // one OrMany. Bin b at level l+1 is exactly the union of level-l bins 2b
+  // and 2b+1 (the clipped top bin simply has an absent sibling), so the
+  // cover is exact.
+  const AttributeBitmaps& ab = attributes_[attr];
+  std::vector<const WahBitVector*> ops;
+  int last_level = -1;
+  uint64_t levels_probed = 0;
+  auto probe = [&](size_t level, uint64_t slot) {
+    const WahBitVector& vec = ab.axes[level][static_cast<size_t>(slot)];
+    if (stats != nullptr) {
+      ++stats->bitvectors_accessed;
+      stats->words_touched += vec.NumWords();
+    }
+    if (static_cast<int>(level) != last_level) {
+      ++levels_probed;
+      last_level = static_cast<int>(level);
+    }
+    ops.push_back(&vec);
+  };
+
+  uint64_t lo = static_cast<uint64_t>(interval.lo) - 1;
+  uint64_t hi = static_cast<uint64_t>(interval.hi) - 1;
+  size_t level = 0;
+  while (true) {
+    if (lo > hi) break;
+    if (lo == hi) {
+      probe(level, lo);
+      break;
+    }
+    if ((lo & 1) != 0) probe(level, lo++);
+    if ((hi & 1) == 0) probe(level, hi--);
+    if (lo > hi) break;
+    lo >>= 1;
+    hi >>= 1;
+    ++level;
+  }
+  if (stats != nullptr) stats->probe_levels += levels_probed;
+
+  if (semantics == MissingSemantics::kMatch && ab.missing.has_value()) {
+    if (stats != nullptr) {
+      ++stats->bitvectors_accessed;
+      stats->words_touched += ab.missing->NumWords();
+    }
+    ops.push_back(&*ab.missing);
+  }
+  if (ops.empty()) return WahBitVector::Fill(num_rows_, false);
+  if (stats != nullptr) stats->bitvector_ops += ops.size() - 1;
+  WahStatsScope op_scope(stats);
+  return WahBitVector::OrMany(ops, op_scope.get());
 }
 
 Result<WahBitVector> BitmapIndex::EvaluateInterval(size_t attr,
@@ -128,8 +284,40 @@ Result<WahBitVector> BitmapIndex::EvaluateInterval(size_t attr,
         "kAllZeros erases missing rows; it cannot answer missing-is-match "
         "queries (paper §4.2)");
   }
-  return EvaluateSlotInterval(options_.encoding, AxisOf(ab), interval,
-                              options_.missing_strategy, semantics, stats);
+  if (options_.scheme == SlotScheme::kDirect) {
+    return EvaluateSlotInterval(options_.encoding, AxisOf(attr, 0), interval,
+                                options_.missing_strategy, semantics, stats);
+  }
+
+  // Composite schemes: a full-domain term needs no probe tree.
+  if (interval.lo == 1 &&
+      interval.hi == static_cast<Value>(ab.cardinality)) {
+    if (semantics == MissingSemantics::kMatch || !ab.missing.has_value()) {
+      return WahBitVector::Fill(num_rows_, true);
+    }
+    if (stats != nullptr) {
+      ++stats->bitvectors_accessed;
+      ++stats->bitvector_ops;
+      stats->words_touched += ab.missing->NumWords();
+    }
+    return ab.missing->Not();
+  }
+  if (options_.scheme == SlotScheme::kHierarchical) {
+    return EvalHierarchical(attr, interval, semantics, stats);
+  }
+  WahBitVector result =
+      EvalMixedRadix(attr, slicers_[attr].num_axes() - 1,
+                     static_cast<uint64_t>(interval.lo) - 1,
+                     static_cast<uint64_t>(interval.hi) - 1, stats);
+  if (semantics == MissingSemantics::kMatch && ab.missing.has_value()) {
+    if (stats != nullptr) {
+      ++stats->bitvectors_accessed;
+      ++stats->bitvector_ops;
+      stats->words_touched += ab.missing->NumWords();
+    }
+    result = result.Or(*ab.missing);
+  }
+  return result;
 }
 
 Result<std::vector<WahBitVector>> BitmapIndex::EvaluateTerms(
@@ -202,6 +390,42 @@ Result<BitVector> BitmapIndex::Execute(const RangeQuery& query,
   return acc.Decompress();
 }
 
+Result<uint64_t> BitmapIndex::CountValue(const WahBitVector& acc,
+                                         size_t attr, uint32_t v,
+                                         QueryStats* stats,
+                                         WahOpStats* op_stats) const {
+  const AttributeBitmaps& ab = attributes_[attr];
+  if (options_.scheme == SlotScheme::kDirect) {
+    if (options_.encoding == BitmapEncoding::kEquality &&
+        options_.missing_strategy != MissingStrategy::kAllOnes) {
+      // "value == v" is the stored bitmap itself; count acc AND B_{i,v}
+      // straight off index storage.
+      const WahBitVector& group = ab.axes[0][v - 1];
+      if (stats != nullptr) {
+        ++stats->bitvectors_accessed;
+        ++stats->bitvector_ops;
+        stats->words_touched += acc.NumWords() + group.NumWords();
+      }
+      return WahBitVector::AndCount(acc, group, op_stats);
+    }
+    if (options_.encoding == BitmapEncoding::kBitSliced) {
+      return FusedSlicedValueCount(acc, ab.axes[0], v, stats);
+    }
+  }
+  // The per-value bitvector falls out of the interval evaluator for any
+  // encoding and scheme: a no-match point query is exactly "value == v".
+  INCDB_ASSIGN_OR_RETURN(
+      WahBitVector group,
+      EvaluateInterval(attr, {static_cast<Value>(v), static_cast<Value>(v)},
+                       MissingSemantics::kNoMatch, stats));
+  const uint64_t count = WahBitVector::AndCount(acc, group, op_stats);
+  if (stats != nullptr) {
+    ++stats->bitvector_ops;
+    stats->words_touched += acc.NumWords() + group.NumWords();
+  }
+  return count;
+}
+
 Result<BitmapIndex::Aggregate> BitmapIndex::ExecuteAggregate(
     const RangeQuery& query, size_t agg_attr, QueryStats* stats) const {
   if (agg_attr >= attributes_.size()) {
@@ -213,21 +437,22 @@ Result<BitmapIndex::Aggregate> BitmapIndex::ExecuteAggregate(
   Aggregate aggregate;
   WahStatsScope op_scope(stats);
 
-  if (options_.encoding == BitmapEncoding::kBitSliced) {
+  if (options_.scheme == SlotScheme::kDirect &&
+      options_.encoding == BitmapEncoding::kBitSliced) {
     // Bit-sliced fast path: SUM = Σ_k 2^k * |acc ∧ S_k|; COUNT = matching
     // rows that appear in at least one slice... cheaper: total matches
     // minus the missing ones (code 0 is absent from every slice, but so is
     // no real value, since values start at 1 and always have some bit set).
     // Every popcount runs through the fused AndCount kernel.
-    for (size_t k = 0; k < ab.values.size(); ++k) {
+    const std::vector<WahBitVector>& slices = ab.axes[0];
+    for (size_t k = 0; k < slices.size(); ++k) {
       if (stats != nullptr) {
         ++stats->bitvectors_accessed;
         ++stats->bitvector_ops;
-        stats->words_touched += acc.NumWords() + ab.values[k].NumWords();
+        stats->words_touched += acc.NumWords() + slices[k].NumWords();
       }
       aggregate.sum += (uint64_t{1} << k) *
-                       WahBitVector::AndCount(acc, ab.values[k],
-                                              op_scope.get());
+                       WahBitVector::AndCount(acc, slices[k], op_scope.get());
     }
     if (ab.missing.has_value()) {
       if (stats != nullptr) {
@@ -242,44 +467,22 @@ Result<BitmapIndex::Aggregate> BitmapIndex::ExecuteAggregate(
     // Min/max still need the per-value walk (early-exit from each end);
     // each probe is one fused count over acc and the slices.
     for (uint32_t v = 1; v <= ab.cardinality && aggregate.count > 0; ++v) {
-      if (FusedSlicedValueCount(acc, ab.values, v, stats) > 0) {
+      if (FusedSlicedValueCount(acc, slices, v, stats) > 0) {
         aggregate.min = static_cast<Value>(v);
         break;
       }
     }
     for (uint32_t v = ab.cardinality; v >= 1 && aggregate.count > 0; --v) {
-      if (FusedSlicedValueCount(acc, ab.values, v, stats) > 0) {
+      if (FusedSlicedValueCount(acc, slices, v, stats) > 0) {
         aggregate.max = static_cast<Value>(v);
         break;
       }
     }
   } else {
     // Generic path: per-value fused counts (as in ExecuteGroupCount).
-    const bool equality_direct =
-        options_.encoding == BitmapEncoding::kEquality &&
-        options_.missing_strategy != MissingStrategy::kAllOnes;
     for (uint32_t v = 1; v <= ab.cardinality; ++v) {
-      uint64_t count = 0;
-      if (equality_direct) {
-        const WahBitVector& group = ab.values[v - 1];
-        if (stats != nullptr) {
-          ++stats->bitvectors_accessed;
-          ++stats->bitvector_ops;
-          stats->words_touched += acc.NumWords() + group.NumWords();
-        }
-        count = WahBitVector::AndCount(acc, group, op_scope.get());
-      } else {
-        INCDB_ASSIGN_OR_RETURN(
-            WahBitVector group,
-            EvaluateInterval(agg_attr,
-                             {static_cast<Value>(v), static_cast<Value>(v)},
-                             MissingSemantics::kNoMatch, stats));
-        count = WahBitVector::AndCount(acc, group, op_scope.get());
-        if (stats != nullptr) {
-          ++stats->bitvector_ops;
-          stats->words_touched += acc.NumWords() + group.NumWords();
-        }
-      }
+      INCDB_ASSIGN_OR_RETURN(
+          uint64_t count, CountValue(acc, agg_attr, v, stats, op_scope.get()));
       if (count == 0) continue;
       if (aggregate.count == 0) aggregate.min = static_cast<Value>(v);
       aggregate.max = static_cast<Value>(v);
@@ -314,42 +517,15 @@ Result<std::vector<uint64_t>> BitmapIndex::ExecuteGroupCount(
                               std::to_string(group_attr) + " out of range");
   }
   INCDB_ASSIGN_OR_RETURN(WahBitVector acc, ExecuteCompressed(query, stats));
-  const AttributeBitmaps& ab = attributes_[group_attr];
+  const uint32_t cardinality = attributes_[group_attr].cardinality;
   WahStatsScope op_scope(stats);
-  std::vector<uint64_t> counts(ab.cardinality + 1, 0);
+  std::vector<uint64_t> counts(cardinality + 1, 0);
   uint64_t grouped = 0;
   // Every per-group count runs through a fused count kernel; no result
   // vector is ever materialized per group.
-  const bool equality_direct =
-      options_.encoding == BitmapEncoding::kEquality &&
-      options_.missing_strategy != MissingStrategy::kAllOnes;
-  for (uint32_t v = 1; v <= ab.cardinality; ++v) {
-    if (equality_direct) {
-      // "value == v" is the stored bitmap itself; count acc AND B_{i,v}
-      // straight off index storage.
-      const WahBitVector& group = ab.values[v - 1];
-      if (stats != nullptr) {
-        ++stats->bitvectors_accessed;
-        ++stats->bitvector_ops;
-        stats->words_touched += acc.NumWords() + group.NumWords();
-      }
-      counts[v] = WahBitVector::AndCount(acc, group, op_scope.get());
-    } else if (options_.encoding == BitmapEncoding::kBitSliced) {
-      counts[v] = FusedSlicedValueCount(acc, ab.values, v, stats);
-    } else {
-      // The per-value bitvector falls out of the interval evaluator for any
-      // encoding: a no-match point query is exactly "value == v".
-      INCDB_ASSIGN_OR_RETURN(
-          WahBitVector group,
-          EvaluateInterval(group_attr,
-                           {static_cast<Value>(v), static_cast<Value>(v)},
-                           MissingSemantics::kNoMatch, stats));
-      counts[v] = WahBitVector::AndCount(acc, group, op_scope.get());
-      if (stats != nullptr) {
-        ++stats->bitvector_ops;
-        stats->words_touched += acc.NumWords() + group.NumWords();
-      }
-    }
+  for (uint32_t v = 1; v <= cardinality; ++v) {
+    INCDB_ASSIGN_OR_RETURN(
+        counts[v], CountValue(acc, group_attr, v, stats, op_scope.get()));
     grouped += counts[v];
   }
   // Missing-group bucket = matches not in any value group.
@@ -357,186 +533,47 @@ Result<std::vector<uint64_t>> BitmapIndex::ExecuteGroupCount(
   return counts;
 }
 
-Status BitmapIndex::AppendRow(const std::vector<Value>& row) {
-  if (row.size() != attributes_.size()) {
-    return Status::InvalidArgument(
-        "row has " + std::to_string(row.size()) + " values, index has " +
-        std::to_string(attributes_.size()) + " attributes");
-  }
-  for (size_t a = 0; a < row.size(); ++a) {
-    const Value v = row[a];
-    if (v != kMissingValue &&
-        (v < 1 || static_cast<uint32_t>(v) > attributes_[a].cardinality)) {
-      return Status::OutOfRange("attribute " + std::to_string(a) +
-                                ": value " + std::to_string(v) +
-                                " outside domain");
-    }
-    if (IsMissing(v) && attributes_[a].cardinality == 1 &&
-        options_.missing_strategy == MissingStrategy::kAllOnes) {
-      return Status::NotSupported(
-          "kAllOnes cannot represent missing at cardinality 1 (paper §4.2)");
-    }
-  }
-  for (size_t a = 0; a < row.size(); ++a) {
-    AttributeBitmaps& ab = attributes_[a];
-    const Value v = row[a];
-    const bool missing = IsMissing(v);
-    if (missing && !ab.missing.has_value() &&
-        options_.missing_strategy == MissingStrategy::kExtraBitmap) {
-      // First missing value for this attribute: materialize B_{i,0}.
-      ab.missing = WahBitVector::Fill(num_rows_, false);
-      ab.has_missing = true;
-    }
-    if (options_.encoding == BitmapEncoding::kEquality) {
-      const bool missing_bit_everywhere =
-          missing && options_.missing_strategy == MissingStrategy::kAllOnes;
-      for (uint32_t j = 1; j <= ab.cardinality; ++j) {
-        ab.values[j - 1].AppendBit(
-            missing ? missing_bit_everywhere
-                    : static_cast<uint32_t>(v) == j);
-      }
-    } else if (options_.encoding == BitmapEncoding::kRange) {
-      // Range encoding: B_{i,j} = "value <= j"; missing rows are 1 in
-      // every kept bitmap.
-      for (uint32_t j = 1; j + 1 <= ab.cardinality; ++j) {
-        ab.values[j - 1].AppendBit(missing ||
-                                   static_cast<uint32_t>(v) <= j);
-      }
-    } else if (options_.encoding == BitmapEncoding::kInterval) {
-      // Interval encoding: I_j = "value in [j, j+m-1]".
-      const uint32_t m = IntervalEncodingM(ab.cardinality);
-      for (uint32_t j = 1; j <= ab.values.size(); ++j) {
-        ab.values[j - 1].AppendBit(!missing &&
-                                   j <= static_cast<uint32_t>(v) &&
-                                   static_cast<uint32_t>(v) <= j + m - 1);
-      }
-    } else {
-      // Bit-sliced encoding: slice k holds bit k of the code (missing = 0).
-      const uint32_t code = missing ? 0 : static_cast<uint32_t>(v);
-      for (size_t k = 0; k < ab.values.size(); ++k) {
-        ab.values[k].AppendBit((code >> k) & 1);
-      }
-    }
-    if (ab.missing.has_value()) ab.missing->AppendBit(missing);
-  }
-  ++num_rows_;
-  return Status::OK();
-}
-
-namespace {
-constexpr char kBitmapMagic[] = "INCDBBM1";
-}  // namespace
-
-Status BitmapIndex::Save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open '" + path + "' for writing");
-  BinaryWriter writer(out);
-  writer.WriteString(kBitmapMagic);
-  writer.WriteU8(static_cast<uint8_t>(options_.encoding));
-  writer.WriteU8(static_cast<uint8_t>(options_.missing_strategy));
-  writer.WriteU64(num_rows_);
-  writer.WriteU64(attributes_.size());
-  for (const AttributeBitmaps& ab : attributes_) {
-    writer.WriteU32(ab.cardinality);
-    writer.WriteU8(ab.missing.has_value() ? 1 : 0);
-    if (ab.missing.has_value()) ab.missing->SaveTo(writer);
-    writer.WriteU64(ab.values.size());
-    for (const WahBitVector& bitmap : ab.values) bitmap.SaveTo(writer);
-  }
-  return writer.status();
-}
-
-Result<BitmapIndex> BitmapIndex::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open '" + path + "' for reading");
-  BinaryReader reader(in);
-  INCDB_ASSIGN_OR_RETURN(std::string magic, reader.ReadString(64));
-  if (magic != kBitmapMagic) {
-    return Status::IOError("'" + path + "' is not an incdb bitmap index");
-  }
-  Options options;
-  INCDB_ASSIGN_OR_RETURN(uint8_t encoding, reader.ReadU8());
-  INCDB_ASSIGN_OR_RETURN(uint8_t strategy, reader.ReadU8());
-  if (encoding > static_cast<uint8_t>(BitmapEncoding::kBitSliced) ||
-      strategy > static_cast<uint8_t>(MissingStrategy::kAllZeros)) {
-    return Status::IOError("'" + path + "': corrupted options");
-  }
-  options.encoding = static_cast<BitmapEncoding>(encoding);
-  options.missing_strategy = static_cast<MissingStrategy>(strategy);
-  INCDB_ASSIGN_OR_RETURN(uint64_t num_rows, reader.ReadU64());
-  INCDB_ASSIGN_OR_RETURN(uint64_t num_attrs, reader.ReadU64());
-  if (num_attrs > (1u << 20)) {
-    return Status::IOError("'" + path + "': implausible attribute count");
-  }
-  std::vector<AttributeBitmaps> attributes;
-  attributes.reserve(num_attrs);
-  for (uint64_t a = 0; a < num_attrs; ++a) {
-    AttributeBitmaps ab;
-    INCDB_ASSIGN_OR_RETURN(ab.cardinality, reader.ReadU32());
-    INCDB_ASSIGN_OR_RETURN(uint8_t has_missing, reader.ReadU8());
-    if (has_missing != 0) {
-      INCDB_ASSIGN_OR_RETURN(WahBitVector missing,
-                             WahBitVector::LoadFrom(reader));
-      if (missing.size() != num_rows) {
-        return Status::IOError("'" + path + "': bitmap size mismatch");
-      }
-      ab.missing = std::move(missing);
-      ab.has_missing = true;
-    }
-    INCDB_ASSIGN_OR_RETURN(uint64_t num_bitmaps, reader.ReadU64());
-    if (num_bitmaps !=
-        AxisEncoder::NumBitmaps(options.encoding, ab.cardinality)) {
-      return Status::IOError("'" + path + "': bitmap count mismatch");
-    }
-    ab.values.reserve(num_bitmaps);
-    for (uint64_t j = 0; j < num_bitmaps; ++j) {
-      INCDB_ASSIGN_OR_RETURN(WahBitVector bitmap,
-                             WahBitVector::LoadFrom(reader));
-      if (bitmap.size() != num_rows) {
-        return Status::IOError("'" + path + "': bitmap size mismatch");
-      }
-      ab.values.push_back(std::move(bitmap));
-    }
-    attributes.push_back(std::move(ab));
-  }
-  return BitmapIndex(options, num_rows, std::move(attributes));
-}
-
 Result<BitmapIndex> BitmapIndex::FromParts(
     Options options, uint64_t num_rows,
     std::vector<AttributeBitmaps> attributes) {
-  if ((options.missing_strategy == MissingStrategy::kAllOnes ||
-       options.missing_strategy == MissingStrategy::kAllZeros) &&
-      options.encoding != BitmapEncoding::kEquality) {
-    return Status::InvalidArgument(
-        "bitmap parts: all-ones/all-zeros strategies are equality-only");
-  }
+  INCDB_RETURN_IF_ERROR(CheckOptions(options));
+  std::vector<Slicer> slicers;
+  slicers.reserve(attributes.size());
   for (size_t a = 0; a < attributes.size(); ++a) {
     const AttributeBitmaps& ab = attributes[a];
-    const uint64_t expected =
-        AxisEncoder::NumBitmaps(options.encoding, ab.cardinality);
-    if (ab.values.size() != expected) {
-      return Status::IOError("bitmap parts: attribute " + std::to_string(a) +
-                             " has " + std::to_string(ab.values.size()) +
-                             " value bitmaps, encoding implies " +
-                             std::to_string(expected));
+    const std::string where = "bitmap parts: attribute " + std::to_string(a);
+    INCDB_ASSIGN_OR_RETURN(Slicer slicer,
+                           Slicer::Create(options.scheme, ab.cardinality));
+    if (ab.axes.size() != slicer.num_axes()) {
+      return Status::IOError(where + " has " + std::to_string(ab.axes.size()) +
+                             " axes, slicer implies " +
+                             std::to_string(slicer.num_axes()));
     }
-    if (ab.has_missing != ab.missing.has_value()) {
-      return Status::IOError("bitmap parts: attribute " + std::to_string(a) +
-                             " missing-bitmap flag mismatch");
-    }
-    if (ab.missing.has_value() && ab.missing->size() != num_rows) {
-      return Status::IOError("bitmap parts: attribute " + std::to_string(a) +
-                             " missing bitmap size mismatch");
-    }
-    for (const WahBitVector& bitmap : ab.values) {
-      if (bitmap.size() != num_rows) {
-        return Status::IOError("bitmap parts: attribute " + std::to_string(a) +
-                               " bitmap size mismatch");
+    for (size_t axis = 0; axis < slicer.num_axes(); ++axis) {
+      const uint64_t expected =
+          AxisEncoder::NumBitmaps(options.encoding, slicer.num_slots(axis));
+      if (ab.axes[axis].size() != expected) {
+        return Status::IOError(where + " axis " + std::to_string(axis) +
+                               " has " + std::to_string(ab.axes[axis].size()) +
+                               " bitmaps, encoding implies " +
+                               std::to_string(expected));
+      }
+      for (const WahBitVector& bitmap : ab.axes[axis]) {
+        if (bitmap.size() != num_rows) {
+          return Status::IOError(where + " bitmap size mismatch");
+        }
       }
     }
+    if (ab.has_missing != ab.missing.has_value()) {
+      return Status::IOError(where + " missing-bitmap flag mismatch");
+    }
+    if (ab.missing.has_value() && ab.missing->size() != num_rows) {
+      return Status::IOError(where + " missing bitmap size mismatch");
+    }
+    slicers.push_back(std::move(slicer));
   }
-  return BitmapIndex(options, num_rows, std::move(attributes));
+  return BitmapIndex(options, num_rows, std::move(attributes),
+                     std::move(slicers));
 }
 
 uint64_t BitmapIndex::SizeInBytes() const {
@@ -549,15 +586,18 @@ uint64_t BitmapIndex::SizeInBytes() const {
 
 uint64_t BitmapIndex::AttributeSizeInBytes(size_t attr) const {
   const AttributeBitmaps& ab = attributes_[attr];
-  uint64_t total = 0;
-  for (const WahBitVector& bitmap : ab.values) total += bitmap.SizeInBytes();
-  if (ab.missing.has_value()) total += ab.missing->SizeInBytes();
+  uint64_t total = ab.missing.has_value() ? ab.missing->SizeInBytes() : 0;
+  for (const std::vector<WahBitVector>& axis : ab.axes) {
+    for (const WahBitVector& bitmap : axis) total += bitmap.SizeInBytes();
+  }
   return total;
 }
 
 size_t BitmapIndex::NumBitmaps(size_t attr) const {
   const AttributeBitmaps& ab = attributes_[attr];
-  return ab.values.size() + (ab.missing.has_value() ? 1 : 0);
+  size_t total = ab.missing.has_value() ? 1 : 0;
+  for (const std::vector<WahBitVector>& axis : ab.axes) total += axis.size();
+  return total;
 }
 
 uint64_t BitmapIndex::VerbatimSizeInBytes() const {

@@ -107,16 +107,6 @@ class IncompleteIndex {
   /// approximation plus lookup tables).
   virtual uint64_t SizeInBytes() const = 0;
 
-  /// Incrementally indexes one appended record (`row[i]` = value of
-  /// attribute i, kMissingValue for missing). The base table must be
-  /// extended with the same row first. Default: NotSupported — bitmap
-  /// indexes, VA-files, MOSAIC, the bitstring-augmented index and the scan
-  /// all override this.
-  virtual Status AppendRow(const std::vector<Value>& row) {
-    (void)row;
-    return Status::NotSupported(Name() + " does not support appends");
-  }
-
   /// COUNT(*) of the query's result. Default: executes and counts; the
   /// bitmap index overrides this to count directly on the compressed
   /// result without materializing a verbatim bitvector.

@@ -6,7 +6,6 @@
 #include "baselines/bitstring_augmented.h"
 #include "baselines/mosaic.h"
 #include "bitmap/bitmap_index.h"
-#include "bitmap/composite_index.h"
 #include "core/scan_index.h"
 #include "vafile/va_file.h"
 
@@ -125,11 +124,13 @@ Result<std::unique_ptr<IncompleteIndex>> CreateIndex(IndexKind kind,
     case IndexKind::kBitstringAugmented:
       return Wrap(BitstringAugmentedIndex::Build(table));
     case IndexKind::kBitmapMultiComponent:
-      return Wrap(CompositeBitmapIndex::Build(
-          table, {SlotScheme::kMultiComponent}));
+      return Wrap(BitmapIndex::Build(
+          table, {BitmapEncoding::kEquality, MissingStrategy::kExtraBitmap,
+                  SlotScheme::kMultiComponent}));
     case IndexKind::kBitmapHierarchical:
-      return Wrap(CompositeBitmapIndex::Build(
-          table, {SlotScheme::kHierarchical}));
+      return Wrap(BitmapIndex::Build(
+          table, {BitmapEncoding::kEquality, MissingStrategy::kExtraBitmap,
+                  SlotScheme::kHierarchical}));
   }
   return Status::InvalidArgument("unknown index kind");
 }

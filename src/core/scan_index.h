@@ -25,12 +25,6 @@ class ScanIndex : public IncompleteIndex {
 
   uint64_t SizeInBytes() const override { return 0; }
 
-  /// A scan reads the base table directly, so appends are free.
-  Status AppendRow(const std::vector<Value>& row) override {
-    (void)row;
-    return Status::OK();
-  }
-
  private:
   SequentialScan scan_;
 };

@@ -18,22 +18,21 @@ constexpr int kMaxExprDepth = 64;
 
 // ---- little-endian scalar primitives --------------------------------------
 
-void PutU16(uint16_t v, std::vector<uint8_t>* out) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
+// Little-endian bytes go through a local array and one insert: a
+// push_back per byte into a possibly empty vector trips gcc 12's
+// -Wstringop-overflow false positive.
+template <typename T>
+void PutLittleEndian(T v, std::vector<uint8_t>* out) {
+  uint8_t bytes[sizeof(T)];
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    bytes[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+  out->insert(out->end(), bytes, bytes + sizeof(T));
 }
 
-void PutU32(uint32_t v, std::vector<uint8_t>* out) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<uint8_t>(v >> shift));
-  }
-}
-
-void PutU64(uint64_t v, std::vector<uint8_t>* out) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<uint8_t>(v >> shift));
-  }
-}
+void PutU16(uint16_t v, std::vector<uint8_t>* out) { PutLittleEndian(v, out); }
+void PutU32(uint32_t v, std::vector<uint8_t>* out) { PutLittleEndian(v, out); }
+void PutU64(uint64_t v, std::vector<uint8_t>* out) { PutLittleEndian(v, out); }
 
 uint16_t GetU16(const uint8_t* p) {
   return static_cast<uint16_t>(p[0] | (p[1] << 8));

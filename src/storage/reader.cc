@@ -7,7 +7,6 @@
 
 #include "baselines/mosaic.h"
 #include "bitmap/bitmap_index.h"
-#include "bitmap/composite_index.h"
 #include "common/io.h"
 #include "storage/checksum.h"
 #include "storage/format.h"
@@ -125,26 +124,45 @@ Result<WahBitVector> ReadWahBitvector(BinaryReader& catalog,
   return vec;
 }
 
+/// Inverse of WriteBitmapIndex: wire metadata from the catalog stream, WAH
+/// code words borrowed zero-copy from the mapping. The header must match
+/// the registry kind; FromParts re-derives the slicer geometry from
+/// (scheme, cardinality) and validates every axis shape against it.
 Result<std::shared_ptr<const IncompleteIndex>> ReadBitmapIndex(
     BinaryReader& catalog, const MappedFile& map, IndexKind kind,
     size_t num_attributes, bool verify) {
   BitmapIndex::Options options;
-  INCDB_ASSIGN_OR_RETURN(uint8_t encoding, catalog.ReadU8());
-  INCDB_ASSIGN_OR_RETURN(uint8_t strategy, catalog.ReadU8());
-  if (encoding > static_cast<uint8_t>(BitmapEncoding::kBitSliced) ||
-      strategy > static_cast<uint8_t>(MissingStrategy::kAllZeros)) {
-    return Status::IOError("store catalog: corrupted bitmap options");
-  }
-  options.encoding = static_cast<BitmapEncoding>(encoding);
-  options.missing_strategy = static_cast<MissingStrategy>(strategy);
-  const BitmapEncoding expected =
-      kind == IndexKind::kBitmapEquality     ? BitmapEncoding::kEquality
-      : kind == IndexKind::kBitmapRange      ? BitmapEncoding::kRange
-      : kind == IndexKind::kBitmapInterval   ? BitmapEncoding::kInterval
-                                             : BitmapEncoding::kBitSliced;
-  if (options.encoding != expected) {
-    return Status::IOError(
-        "store catalog: bitmap encoding does not match its registry kind");
+  const bool direct = kind != IndexKind::kBitmapMultiComponent &&
+                      kind != IndexKind::kBitmapHierarchical;
+  if (direct) {
+    INCDB_ASSIGN_OR_RETURN(uint8_t encoding, catalog.ReadU8());
+    INCDB_ASSIGN_OR_RETURN(uint8_t strategy, catalog.ReadU8());
+    if (encoding > static_cast<uint8_t>(BitmapEncoding::kBitSliced) ||
+        strategy > static_cast<uint8_t>(MissingStrategy::kAllZeros)) {
+      return Status::IOError("store catalog: corrupted bitmap options");
+    }
+    options.encoding = static_cast<BitmapEncoding>(encoding);
+    options.missing_strategy = static_cast<MissingStrategy>(strategy);
+    const BitmapEncoding expected =
+        kind == IndexKind::kBitmapEquality     ? BitmapEncoding::kEquality
+        : kind == IndexKind::kBitmapRange      ? BitmapEncoding::kRange
+        : kind == IndexKind::kBitmapInterval   ? BitmapEncoding::kInterval
+                                               : BitmapEncoding::kBitSliced;
+    if (options.encoding != expected) {
+      return Status::IOError(
+          "store catalog: bitmap encoding does not match its registry kind");
+    }
+  } else {
+    INCDB_ASSIGN_OR_RETURN(uint8_t scheme, catalog.ReadU8());
+    options.scheme = static_cast<SlotScheme>(scheme);
+    const SlotScheme expected = kind == IndexKind::kBitmapMultiComponent
+                                    ? SlotScheme::kMultiComponent
+                                    : SlotScheme::kHierarchical;
+    if (options.scheme != expected) {
+      return Status::IOError(
+          "store catalog: bitmap slot scheme does not match its registry "
+          "kind");
+    }
   }
   INCDB_ASSIGN_OR_RETURN(uint64_t num_rows, catalog.ReadU64());
   INCDB_ASSIGN_OR_RETURN(uint64_t num_attrs, catalog.ReadU64());
@@ -167,15 +185,25 @@ Result<std::shared_ptr<const IncompleteIndex>> ReadBitmapIndex(
       ab.missing = std::move(missing);
       ab.has_missing = true;
     }
-    INCDB_ASSIGN_OR_RETURN(uint64_t num_values, catalog.ReadU64());
-    if (num_values > (1u << 26)) {
-      return Status::IOError("store catalog: implausible bitmap count");
+    uint64_t num_axes = 1;
+    if (!direct) {
+      INCDB_ASSIGN_OR_RETURN(num_axes, catalog.ReadU64());
+      if (num_axes > 64) {
+        return Status::IOError("store catalog: implausible axis count");
+      }
     }
-    ab.values.reserve(num_values);
-    for (uint64_t j = 0; j < num_values; ++j) {
-      INCDB_ASSIGN_OR_RETURN(WahBitVector vec,
-                             ReadWahBitvector(catalog, map, verify));
-      ab.values.push_back(std::move(vec));
+    ab.axes.resize(num_axes);
+    for (std::vector<WahBitVector>& axis : ab.axes) {
+      INCDB_ASSIGN_OR_RETURN(uint64_t num_bitmaps, catalog.ReadU64());
+      if (num_bitmaps > (1u << 26)) {
+        return Status::IOError("store catalog: implausible bitmap count");
+      }
+      axis.reserve(num_bitmaps);
+      for (uint64_t j = 0; j < num_bitmaps; ++j) {
+        INCDB_ASSIGN_OR_RETURN(WahBitVector vec,
+                               ReadWahBitvector(catalog, map, verify));
+        axis.push_back(std::move(vec));
+      }
     }
     attributes.push_back(std::move(ab));
   }
@@ -244,76 +272,6 @@ Result<std::shared_ptr<const IncompleteIndex>> ReadVaFile(
                         std::span<const uint64_t>(packed, word_count)));
   return std::shared_ptr<const IncompleteIndex>(
       std::make_shared<VaFile>(std::move(file)));
-}
-
-/// Inverse of WriteCompositeIndex (v3 blob record): wire metadata from the
-/// catalog stream, WAH code words borrowed zero-copy from the mapping.
-/// FromParts re-derives the slicer geometry from (scheme, cardinality) and
-/// validates every axis shape against it.
-Result<std::shared_ptr<const IncompleteIndex>> ReadCompositeIndex(
-    BinaryReader& catalog, const MappedFile& map, IndexKind kind,
-    size_t num_attributes, bool verify) {
-  CompositeBitmapIndex::Options options;
-  INCDB_ASSIGN_OR_RETURN(uint8_t scheme, catalog.ReadU8());
-  if (scheme > static_cast<uint8_t>(SlotScheme::kHierarchical)) {
-    return Status::IOError("store catalog: corrupted composite scheme");
-  }
-  options.scheme = static_cast<SlotScheme>(scheme);
-  const SlotScheme expected = kind == IndexKind::kBitmapMultiComponent
-                                  ? SlotScheme::kMultiComponent
-                                  : SlotScheme::kHierarchical;
-  if (options.scheme != expected) {
-    return Status::IOError(
-        "store catalog: composite scheme does not match its registry kind");
-  }
-  INCDB_ASSIGN_OR_RETURN(uint64_t num_rows, catalog.ReadU64());
-  INCDB_ASSIGN_OR_RETURN(uint64_t num_attrs, catalog.ReadU64());
-  if (num_attrs != num_attributes) {
-    return Status::IOError(
-        "store catalog: composite attribute count does not match the table");
-  }
-  std::vector<CompositeBitmapIndex::AttributeAxes> attributes;
-  attributes.reserve(num_attrs);
-  for (uint64_t a = 0; a < num_attrs; ++a) {
-    CompositeBitmapIndex::AttributeAxes aa;
-    INCDB_ASSIGN_OR_RETURN(aa.cardinality, catalog.ReadU32());
-    INCDB_ASSIGN_OR_RETURN(uint8_t has_missing, catalog.ReadU8());
-    if (has_missing > 1) {
-      return Status::IOError("store catalog: corrupted composite flags");
-    }
-    if (has_missing != 0) {
-      INCDB_ASSIGN_OR_RETURN(WahBitVector missing,
-                             ReadWahBitvector(catalog, map, verify));
-      aa.missing = std::move(missing);
-      aa.has_missing = true;
-    }
-    INCDB_ASSIGN_OR_RETURN(uint64_t num_axes, catalog.ReadU64());
-    if (num_axes > 64) {
-      return Status::IOError("store catalog: implausible axis count");
-    }
-    aa.axes.reserve(num_axes);
-    for (uint64_t x = 0; x < num_axes; ++x) {
-      INCDB_ASSIGN_OR_RETURN(uint64_t num_bitmaps, catalog.ReadU64());
-      if (num_bitmaps > (1u << 26)) {
-        return Status::IOError("store catalog: implausible bitmap count");
-      }
-      std::vector<WahBitVector> axis;
-      axis.reserve(num_bitmaps);
-      for (uint64_t j = 0; j < num_bitmaps; ++j) {
-        INCDB_ASSIGN_OR_RETURN(WahBitVector vec,
-                               ReadWahBitvector(catalog, map, verify));
-        axis.push_back(std::move(vec));
-      }
-      aa.axes.push_back(std::move(axis));
-    }
-    attributes.push_back(std::move(aa));
-  }
-  INCDB_ASSIGN_OR_RETURN(
-      CompositeBitmapIndex index,
-      CompositeBitmapIndex::FromParts(options, num_rows,
-                                      std::move(attributes)));
-  return std::shared_ptr<const IncompleteIndex>(
-      std::make_shared<CompositeBitmapIndex>(std::move(index)));
 }
 
 /// One row of the catalog's v2 segment table.
@@ -404,15 +362,9 @@ Result<LoadedSegment> OpenSegmentFile(const std::string& dir,
                            SliceArray<Value>(map, offset, num_rows));
     loaded.columns.push_back(values);
   }
-  std::shared_ptr<const IncompleteIndex> index;
-  if (entry.kind == IndexKind::kBitmapMultiComponent ||
-      entry.kind == IndexKind::kBitmapHierarchical) {
-    INCDB_ASSIGN_OR_RETURN(
-        index, ReadCompositeIndex(meta, map, entry.kind, num_attrs, verify));
-  } else {
-    INCDB_ASSIGN_OR_RETURN(
-        index, ReadBitmapIndex(meta, map, entry.kind, num_attrs, verify));
-  }
+  INCDB_ASSIGN_OR_RETURN(
+      std::shared_ptr<const IncompleteIndex> index,
+      ReadBitmapIndex(meta, map, entry.kind, num_attrs, verify));
   auto segment = std::make_shared<internal::Segment>();
   segment->content_id = entry.content_id;
   segment->begin_row = entry.begin_row;
@@ -704,19 +656,13 @@ Result<OpenedStore> OpenStore(const std::string& dir,
       case IndexKind::kBitmapEquality:
       case IndexKind::kBitmapRange:
       case IndexKind::kBitmapInterval:
-      case IndexKind::kBitmapBitSliced: {
-        INCDB_ASSIGN_OR_RETURN(
-            entry.index,
-            ReadBitmapIndex(catalog, *mapping, kind, num_attrs,
-                            options.verify_checksums));
-        break;
-      }
+      case IndexKind::kBitmapBitSliced:
       case IndexKind::kBitmapMultiComponent:
       case IndexKind::kBitmapHierarchical: {
         INCDB_ASSIGN_OR_RETURN(
             entry.index,
-            ReadCompositeIndex(catalog, *mapping, kind, num_attrs,
-                               options.verify_checksums));
+            ReadBitmapIndex(catalog, *mapping, kind, num_attrs,
+                            options.verify_checksums));
         break;
       }
       case IndexKind::kVaFile:

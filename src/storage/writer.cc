@@ -17,7 +17,6 @@
 
 #include "baselines/mosaic.h"
 #include "bitmap/bitmap_index.h"
-#include "bitmap/composite_index.h"
 #include "common/io.h"
 #include "storage/checksum.h"
 #include "storage/format.h"
@@ -97,38 +96,28 @@ void WriteWahBitvector(const WahBitVector& vec, SegmentWriter& seg,
   catalog.WriteU64(offset);
 }
 
+/// One bitmap index record. The header is the encoding and missing-strategy
+/// bytes for the direct kinds, the slot-scheme byte for the composite ones
+/// (format v3); a composite attribute also prefixes its axis count. Bulk
+/// WAH words go to the segment file and only wire metadata lands in the
+/// catalog, so an open borrows every bitvector zero-copy from the mapping.
 void WriteBitmapIndex(const BitmapIndex& index, SegmentWriter& seg,
                       BinaryWriter& catalog) {
-  catalog.WriteU8(static_cast<uint8_t>(index.encoding()));
-  catalog.WriteU8(static_cast<uint8_t>(index.missing_strategy()));
+  const bool direct = index.scheme() == SlotScheme::kDirect;
+  if (direct) {
+    catalog.WriteU8(static_cast<uint8_t>(index.encoding()));
+    catalog.WriteU8(static_cast<uint8_t>(index.missing_strategy()));
+  } else {
+    catalog.WriteU8(static_cast<uint8_t>(index.scheme()));
+  }
   catalog.WriteU64(index.num_rows());
   catalog.WriteU64(index.attributes().size());
   for (const BitmapIndex::AttributeBitmaps& ab : index.attributes()) {
     catalog.WriteU32(ab.cardinality);
     catalog.WriteU8(ab.has_missing ? 1 : 0);
     if (ab.has_missing) WriteWahBitvector(*ab.missing, seg, catalog);
-    catalog.WriteU64(ab.values.size());
-    for (const WahBitVector& vec : ab.values) {
-      WriteWahBitvector(vec, seg, catalog);
-    }
-  }
-}
-
-/// v3 composite blob record: scheme byte, then per attribute the shared
-/// missing bitvector (if any) and the per-axis bitmap groups. Bulk WAH
-/// words go to the segment file; only wire metadata lands in the catalog,
-/// so an open borrows every bitvector zero-copy from the mapping.
-void WriteCompositeIndex(const CompositeBitmapIndex& index, SegmentWriter& seg,
-                         BinaryWriter& catalog) {
-  catalog.WriteU8(static_cast<uint8_t>(index.scheme()));
-  catalog.WriteU64(index.num_rows());
-  catalog.WriteU64(index.attributes().size());
-  for (const CompositeBitmapIndex::AttributeAxes& aa : index.attributes()) {
-    catalog.WriteU32(aa.cardinality);
-    catalog.WriteU8(aa.has_missing ? 1 : 0);
-    if (aa.has_missing) WriteWahBitvector(*aa.missing, seg, catalog);
-    catalog.WriteU64(aa.axes.size());
-    for (const std::vector<WahBitVector>& axis : aa.axes) {
+    if (!direct) catalog.WriteU64(ab.axes.size());
+    for (const std::vector<WahBitVector>& axis : ab.axes) {
       catalog.WriteU64(axis.size());
       for (const WahBitVector& vec : axis) {
         WriteWahBitvector(vec, seg, catalog);
@@ -210,13 +199,10 @@ Result<std::string> StageSegmentFile(const Table& table,
     case IndexKind::kBitmapRange:
     case IndexKind::kBitmapInterval:
     case IndexKind::kBitmapBitSliced:
-      WriteBitmapIndex(static_cast<const BitmapIndex&>(*segment.index), seg,
-                       meta);
-      break;
     case IndexKind::kBitmapMultiComponent:
     case IndexKind::kBitmapHierarchical:
-      WriteCompositeIndex(
-          static_cast<const CompositeBitmapIndex&>(*segment.index), seg, meta);
+      WriteBitmapIndex(static_cast<const BitmapIndex&>(*segment.index), seg,
+                       meta);
       break;
     default:
       return Status::Internal(
@@ -501,14 +487,10 @@ Status WriteSnapshot(const internal::SnapshotState& state,
       case IndexKind::kBitmapRange:
       case IndexKind::kBitmapInterval:
       case IndexKind::kBitmapBitSliced:
-        WriteBitmapIndex(static_cast<const BitmapIndex&>(*entry.index), seg,
-                         catalog);
-        break;
       case IndexKind::kBitmapMultiComponent:
       case IndexKind::kBitmapHierarchical:
-        WriteCompositeIndex(
-            static_cast<const CompositeBitmapIndex&>(*entry.index), seg,
-            catalog);
+        WriteBitmapIndex(static_cast<const BitmapIndex&>(*entry.index), seg,
+                         catalog);
         break;
       case IndexKind::kVaFile:
       case IndexKind::kVaPlusFile:

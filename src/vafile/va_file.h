@@ -65,8 +65,8 @@ class VaFile : public IncompleteIndex {
 
   /// Reassembles a VA-file from parts the storage engine deserialized. The
   /// packed approximation array is *borrowed* (zero-copy over an mmap'd
-  /// segment); the caller guarantees it outlives the index. Appending
-  /// detaches into owned storage first. Validates shapes, not contents.
+  /// segment); the caller guarantees it outlives the index. Validates
+  /// shapes, not contents.
   static Result<VaFile> FromParts(const Table* table, Options options,
                                   std::vector<AttributeQuantizer> attributes,
                                   uint32_t row_stride_bits, uint64_t num_rows,
@@ -77,23 +77,8 @@ class VaFile : public IncompleteIndex {
                             QueryStats* stats = nullptr) const override;
   uint64_t SizeInBytes() const override;
 
-  /// Appends one record's approximation (incremental maintenance). Append
-  /// the row to the base table first; the approximation uses the bins
-  /// fixed at Build time (equi-depth bins are not re-balanced). The result
-  /// is bit-identical to a rebuilt uniform VA-file over the extended data.
-  Status AppendRow(const std::vector<Value>& row) override;
-
-  /// Rows covered by the approximation file (tracks AppendRow).
+  /// Rows covered by the approximation file.
   uint64_t num_rows() const { return num_rows_; }
-
-  /// Persists the approximation file and lookup tables to disk.
-  Status Save(const std::string& path) const;
-
-  /// Loads a VA-file written by Save. `table` is the base table used for
-  /// the refinement step; its shape must match (attribute count,
-  /// cardinalities, at least num_rows rows). The table must outlive the
-  /// returned index.
-  static Result<VaFile> Load(const std::string& path, const Table& table);
 
   /// Bits allocated to attribute `attr` (b_i).
   int BitsFor(size_t attr) const { return attributes_[attr].bits; }
@@ -122,8 +107,6 @@ class VaFile : public IncompleteIndex {
                ? std::span<const uint64_t>(borrowed_packed_, num_borrowed_)
                : std::span<const uint64_t>(packed_);
   }
-  /// True while the packed array is a non-owning view (see FromParts).
-  bool borrowed() const { return borrowed_packed_ != nullptr; }
 
  private:
   VaFile(const Table* table, Options options,
@@ -137,9 +120,6 @@ class VaFile : public IncompleteIndex {
         packed_(std::move(packed)) {}
 
   uint64_t ExtractBits(uint64_t bit_pos, int width) const;
-  void PutBits(uint64_t bit_pos, int width, uint64_t value);
-  /// Copies a borrowed packed array into owned storage before mutation.
-  void Detach();
 
   const uint64_t* packed_data() const {
     return borrowed_packed_ != nullptr ? borrowed_packed_ : packed_.data();

@@ -37,26 +37,39 @@ Reference ScanAggregate(const Table& table, const RangeQuery& query,
   return ref;
 }
 
-TEST(AggregateTest, MatchesScanAcrossEncodings) {
-  const Table table = GenerateTable(UniformSpec(2000, 9, 0.3, 4, 961)).value();
+// The four direct encodings plus the multi-component and hierarchical
+// slicers (which answer through the generic per-value path).
+std::vector<BitmapIndex::Options> AllKinds() {
+  std::vector<BitmapIndex::Options> kinds;
   for (BitmapEncoding encoding :
        {BitmapEncoding::kEquality, BitmapEncoding::kRange,
         BitmapEncoding::kInterval, BitmapEncoding::kBitSliced}) {
-    const BitmapIndex index =
-        BitmapIndex::Build(table, {encoding, MissingStrategy::kExtraBitmap})
-            .value();
+    kinds.push_back({encoding, MissingStrategy::kExtraBitmap});
+  }
+  for (SlotScheme scheme :
+       {SlotScheme::kMultiComponent, SlotScheme::kHierarchical}) {
+    kinds.push_back(
+        {BitmapEncoding::kEquality, MissingStrategy::kExtraBitmap, scheme});
+  }
+  return kinds;
+}
+
+TEST(AggregateTest, MatchesScanAcrossEncodings) {
+  const Table table = GenerateTable(UniformSpec(2000, 9, 0.3, 4, 961)).value();
+  for (const BitmapIndex::Options& options : AllKinds()) {
+    const BitmapIndex index = BitmapIndex::Build(table, options).value();
     for (MissingSemantics semantics :
          {MissingSemantics::kMatch, MissingSemantics::kNoMatch}) {
       RangeQuery q;
       q.semantics = semantics;
       q.terms = {{0, {2, 7}}, {2, {1, 5}}};
       const auto aggregate = index.ExecuteAggregate(q, /*agg_attr=*/1);
-      ASSERT_TRUE(aggregate.ok()) << BitmapEncodingToString(encoding);
+      ASSERT_TRUE(aggregate.ok()) << index.Name();
       const Reference ref = ScanAggregate(table, q, 1);
       EXPECT_EQ(aggregate->count, ref.count)
-          << BitmapEncodingToString(encoding);
+          << index.Name();
       EXPECT_EQ(aggregate->missing_count, ref.missing);
-      EXPECT_EQ(aggregate->sum, ref.sum) << BitmapEncodingToString(encoding);
+      EXPECT_EQ(aggregate->sum, ref.sum) << index.Name();
       EXPECT_EQ(aggregate->min, ref.min);
       EXPECT_EQ(aggregate->max, ref.max);
       if (ref.count > 0) {

@@ -22,23 +22,36 @@ std::vector<uint64_t> ReferenceGroupCount(const Table& table,
   return counts;
 }
 
-TEST(GroupCountTest, MatchesScanReferenceAcrossEncodings) {
-  const Table table = GenerateTable(UniformSpec(2000, 8, 0.25, 4, 941)).value();
+// The four direct encodings plus the multi-component and hierarchical
+// slicers (which answer through the generic per-value path).
+std::vector<BitmapIndex::Options> AllKinds() {
+  std::vector<BitmapIndex::Options> kinds;
   for (BitmapEncoding encoding :
        {BitmapEncoding::kEquality, BitmapEncoding::kRange,
         BitmapEncoding::kInterval, BitmapEncoding::kBitSliced}) {
-    const BitmapIndex index =
-        BitmapIndex::Build(table, {encoding, MissingStrategy::kExtraBitmap})
-            .value();
+    kinds.push_back({encoding, MissingStrategy::kExtraBitmap});
+  }
+  for (SlotScheme scheme :
+       {SlotScheme::kMultiComponent, SlotScheme::kHierarchical}) {
+    kinds.push_back(
+        {BitmapEncoding::kEquality, MissingStrategy::kExtraBitmap, scheme});
+  }
+  return kinds;
+}
+
+TEST(GroupCountTest, MatchesScanReferenceAcrossEncodings) {
+  const Table table = GenerateTable(UniformSpec(2000, 8, 0.25, 4, 941)).value();
+  for (const BitmapIndex::Options& options : AllKinds()) {
+    const BitmapIndex index = BitmapIndex::Build(table, options).value();
     for (MissingSemantics semantics :
          {MissingSemantics::kMatch, MissingSemantics::kNoMatch}) {
       RangeQuery q;
       q.semantics = semantics;
       q.terms = {{0, {2, 6}}, {2, {1, 4}}};
       const auto counts = index.ExecuteGroupCount(q, /*group_attr=*/1);
-      ASSERT_TRUE(counts.ok()) << BitmapEncodingToString(encoding);
+      ASSERT_TRUE(counts.ok()) << index.Name();
       EXPECT_EQ(counts.value(), ReferenceGroupCount(table, q, 1))
-          << BitmapEncodingToString(encoding) << " "
+          << index.Name() << " "
           << MissingSemanticsToString(semantics);
     }
   }

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "server/wire.h"
@@ -230,13 +232,14 @@ TEST(WireTest, DecoderSkipsUnknownFieldsForForwardCompatibility) {
   // A frame from a future peer: a known message with an extra field id
   // 999 prepended AND appended. Today's decoder must ignore both.
   const std::vector<uint8_t> known = EncodeQueryRequest(FullRequest());
-  std::vector<uint8_t> extended;
   const uint8_t unknown_field[] = {0xE7, 0x03, 3, 0, 0, 0, 0xAA, 0xBB, 0xCC};
-  extended.insert(extended.end(), unknown_field,
-                  unknown_field + sizeof(unknown_field));
-  extended.insert(extended.end(), known.begin(), known.end());
-  extended.insert(extended.end(), unknown_field,
-                  unknown_field + sizeof(unknown_field));
+  // Sized once and filled by copy: growing a vector that starts empty
+  // trips gcc 12's -Warray-bounds / -Wstringop-overflow false positives.
+  std::vector<uint8_t> extended(known.size() + 2 * sizeof(unknown_field));
+  auto out = std::copy(std::begin(unknown_field), std::end(unknown_field),
+                       extended.begin());
+  out = std::copy(known.begin(), known.end(), out);
+  std::copy(std::begin(unknown_field), std::end(unknown_field), out);
   const auto decoded = DecodeQueryRequest(extended);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->terms.size(), 2u);

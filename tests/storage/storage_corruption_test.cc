@@ -4,7 +4,6 @@
 // crash, never a silently wrong database.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -17,6 +16,7 @@
 #include "storage/checksum.h"
 #include "storage/format.h"
 #include "table/generator.h"
+#include "temp_store_dir.h"
 
 namespace incdb {
 namespace {
@@ -37,9 +37,10 @@ void WriteFile(const std::string& path, const std::string& bytes) {
 
 /// A store with data and a couple of zero-copy indexes, small enough to
 /// corrupt byte by byte.
-class StorageCorruptionTest : public ::testing::Test {
+class StorageCorruptionTest : public TempStoreTest<> {
  protected:
   void SetUp() override {
+    TempStoreTest::SetUp();
     DatasetSpec spec;
     spec.seed = 42;
     spec.num_rows = 120;
@@ -54,9 +55,7 @@ class StorageCorruptionTest : public ::testing::Test {
     // metadata and WAH words lives inside some checksummed section.
     ASSERT_TRUE(db.BuildIndex(IndexKind::kBitmapMultiComponent).ok());
     ASSERT_TRUE(db.BuildIndex(IndexKind::kBitmapHierarchical).ok());
-    // ctest runs each case as its own process in a shared working
-    // directory; the pid keeps parallel cases off each other's files.
-    dir_ = "storage_corrupt_" + std::to_string(getpid()) + ".incdb";
+    dir_ = StoreDir("corrupt");
     ASSERT_TRUE(db.Save(dir_).ok());
     // A fresh directory always commits generation 1.
     files_ = {storage::kManifestFile, storage::CatalogFileName(1),
@@ -66,12 +65,6 @@ class StorageCorruptionTest : public ::testing::Test {
     }
     // Sanity: the pristine store opens.
     ASSERT_TRUE(Database::Open(dir_).ok());
-  }
-
-  void TearDown() override {
-    for (const auto& [file, bytes] : pristine_) {
-      WriteFile(dir_ + "/" + file, bytes);
-    }
   }
 
   void Restore(const std::string& file) {

@@ -5,7 +5,6 @@
 // identically over mmap'd indexes as over freshly built ones.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <string>
 #include <vector>
@@ -16,15 +15,10 @@
 #include "plan/planner.h"
 #include "query/expr.h"
 #include "table/generator.h"
+#include "temp_store_dir.h"
 
 namespace incdb {
 namespace {
-
-std::string StoreDir(const std::string& tag) {
-  static int counter = 0;
-  return "storage_expr_" + tag + "_" + std::to_string(getpid()) + "_" +
-         std::to_string(counter++) + ".incdb";
-}
 
 Database MakeDatabase() {
   Table table = GenerateTable(UniformSpec(450, 7, 0.25, 3, 1103)).value();
@@ -60,7 +54,8 @@ std::vector<uint32_t> Oracle(const Table& table, const QueryExpr& expr,
   return rows;
 }
 
-class StorageExprExecTest : public ::testing::TestWithParam<IndexKind> {};
+class StorageExprExecTest
+    : public TempStoreTest<::testing::TestWithParam<IndexKind>> {};
 
 TEST_P(StorageExprExecTest, ExpressionsOverOpenedStoreMatchOracle) {
   Database db = MakeDatabase();

@@ -9,32 +9,22 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/database.h"
+#include "storage/checksum.h"
 #include "storage/format.h"
+#include "temp_store_dir.h"
 #include "table/generator.h"
 
 namespace incdb {
 namespace {
-
-/// A unique store directory under the test's working directory. ctest runs
-/// every test case as its own process in a shared working directory, so
-/// the pid is part of the name — a static counter alone would collide.
-std::string StoreDir(const std::string& tag) {
-  static int counter = 0;
-  std::string dir = "storage_rt_";
-  dir += tag;
-  dir += '_';
-  dir += std::to_string(getpid());
-  dir += '_';
-  dir += std::to_string(counter++);
-  dir += ".incdb";
-  return dir;
-}
 
 DatasetSpec SmallSpec(uint64_t seed) {
   DatasetSpec spec;
@@ -93,7 +83,8 @@ void ExpectSameAnswers(const Database& original, const Database& reopened) {
   }
 }
 
-class StorageRoundTripTest : public ::testing::TestWithParam<IndexKind> {};
+class StorageRoundTripTest
+    : public TempStoreTest<::testing::TestWithParam<IndexKind>> {};
 
 TEST_P(StorageRoundTripTest, EveryQueryShapeSurvivesSaveOpen) {
   Database db = MakeDatabase(/*seed=*/7);
@@ -119,7 +110,9 @@ INSTANTIATE_TEST_SUITE_P(
                       IndexKind::kVaFile, IndexKind::kVaPlusFile,
                       IndexKind::kMosaic, IndexKind::kBitstringAugmented));
 
-TEST(StorageRoundTrip, AllIndexesAtOnce) {
+class StorageRoundTrip : public TempStoreTest<> {};
+
+TEST_F(StorageRoundTrip, AllIndexesAtOnce) {
   Database db = MakeDatabase(/*seed=*/11);
   for (IndexKind kind :
        {IndexKind::kBitmapEquality, IndexKind::kBitmapRange,
@@ -136,7 +129,7 @@ TEST(StorageRoundTrip, AllIndexesAtOnce) {
   ExpectSameAnswers(db, reopened.value());
 }
 
-TEST(StorageRoundTrip, NoIndexes) {
+TEST_F(StorageRoundTrip, NoIndexes) {
   Database db = MakeDatabase(/*seed=*/13);
   const std::string dir = StoreDir("plain");
   ASSERT_TRUE(db.Save(dir).ok());
@@ -146,7 +139,7 @@ TEST(StorageRoundTrip, NoIndexes) {
   ExpectSameAnswers(db, reopened.value());
 }
 
-TEST(StorageRoundTrip, DeletionsSurvive) {
+TEST_F(StorageRoundTrip, DeletionsSurvive) {
   Database db = MakeDatabase(/*seed=*/17);
   ASSERT_TRUE(db.BuildIndex(IndexKind::kBitmapEquality).ok());
   for (uint32_t i = 0; i < 40; ++i) {
@@ -161,7 +154,7 @@ TEST(StorageRoundTrip, DeletionsSurvive) {
   ExpectSameAnswers(db, reopened.value());
 }
 
-TEST(StorageRoundTrip, OpenedDatabaseAcceptsWrites) {
+TEST_F(StorageRoundTrip, OpenedDatabaseAcceptsWrites) {
   Database db = MakeDatabase(/*seed=*/23);
   ASSERT_TRUE(db.BuildIndex(IndexKind::kBitmapRange).ok());
   ASSERT_TRUE(db.BuildIndex(IndexKind::kVaFile).ok());
@@ -194,7 +187,7 @@ TEST(StorageRoundTrip, OpenedDatabaseAcceptsWrites) {
   ExpectSameAnswers(db, reopened.value());
 }
 
-TEST(StorageRoundTrip, SecondGenerationSaveOpen) {
+TEST_F(StorageRoundTrip, SecondGenerationSaveOpen) {
   Database db = MakeDatabase(/*seed=*/29);
   ASSERT_TRUE(db.BuildIndex(IndexKind::kBitmapInterval).ok());
   const std::string dir1 = StoreDir("gen1");
@@ -219,7 +212,7 @@ bool FileExists(const std::string& path) {
   return ::stat(path.c_str(), &info) == 0;
 }
 
-TEST(StorageRoundTrip, SaveBackIntoOpenedDirectory) {
+TEST_F(StorageRoundTrip, SaveBackIntoOpenedDirectory) {
   // The scenario the generation scheme exists for: Save into the very
   // directory the database was opened from. The writer must never
   // truncate the payload files the snapshot is serving through its mmap
@@ -250,7 +243,7 @@ TEST(StorageRoundTrip, SaveBackIntoOpenedDirectory) {
   ExpectSameAnswers(opened.value(), reopened.value());
 }
 
-TEST(StorageRoundTrip, InPlaceSaveCommitsAtomicallyAndCollectsGarbage) {
+TEST_F(StorageRoundTrip, InPlaceSaveCommitsAtomicallyAndCollectsGarbage) {
   Database db = MakeDatabase(/*seed=*/41);
   const std::string dir = StoreDir("gc");
   ASSERT_TRUE(db.Save(dir).ok());
@@ -280,7 +273,7 @@ TEST(StorageRoundTrip, InPlaceSaveCommitsAtomicallyAndCollectsGarbage) {
   ExpectSameAnswers(db, reopened.value());
 }
 
-TEST(StorageRoundTrip, MissingRatesComeFromCatalogNotRescan) {
+TEST_F(StorageRoundTrip, MissingRatesComeFromCatalogNotRescan) {
   Database db = MakeDatabase(/*seed=*/31);
   const std::string dir = StoreDir("rates");
   ASSERT_TRUE(db.Save(dir).ok());
@@ -291,6 +284,64 @@ TEST(StorageRoundTrip, MissingRatesComeFromCatalogNotRescan) {
   for (size_t a = 0; a < db.table().num_attributes(); ++a) {
     EXPECT_DOUBLE_EQ(before.MissingRate(a), after.MissingRate(a)) << a;
   }
+}
+
+/// CRC-32 of every file directly inside `dir`, keyed by file name. The
+/// MANIFEST ends in a CRC of its own bytes, which would make a whole-file
+/// CRC the same constant for every manifest, so its body is checksummed
+/// without those four bytes.
+std::map<std::string, uint32_t> FileChecksums(const std::string& dir) {
+  std::map<std::string, uint32_t> crcs;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    std::string data = bytes.str();
+    const std::string name = entry.path().filename().string();
+    if (name == storage::kManifestFile && data.size() >= sizeof(uint32_t)) {
+      data.resize(data.size() - sizeof(uint32_t));
+    }
+    crcs[name] = storage::Crc32(data.data(), data.size());
+  }
+  return crcs;
+}
+
+// Pins the format-v3 bytes on disk: a registry store holding every bitmap
+// kind and a segmented store must save to exactly these files. A change to
+// any index record, the catalog or the segment-file layout shows up here
+// as a checksum mismatch, which must come with a format version bump.
+TEST_F(StorageRoundTrip, GoldenFileChecksums) {
+  ASSERT_EQ(storage::kFormatVersion, 3u);
+  Database registry = MakeDatabase(/*seed=*/53);
+  for (IndexKind kind :
+       {IndexKind::kBitmapEquality, IndexKind::kBitmapRange,
+        IndexKind::kBitmapInterval, IndexKind::kBitmapBitSliced,
+        IndexKind::kBitmapMultiComponent, IndexKind::kBitmapHierarchical}) {
+    ASSERT_TRUE(registry.BuildIndex(kind).ok());
+  }
+  const std::string registry_dir = StoreDir("golden_registry");
+  ASSERT_TRUE(registry.Save(registry_dir).ok());
+  const std::map<std::string, uint32_t> registry_expected = {
+      {"MANIFEST", 4097409553u},
+      {"catalog.1.bin", 1981982931u},
+      {"data.1.seg", 527030694u},
+  };
+  EXPECT_EQ(FileChecksums(registry_dir), registry_expected);
+
+  Database segmented = MakeDatabase(/*seed=*/59);
+  SegmentOptions options;
+  options.segment_rows = 96;
+  options.index_kind = IndexKind::kBitmapHierarchical;
+  ASSERT_TRUE(segmented.EnableSegments(options).ok());
+  const std::string segmented_dir = StoreDir("golden_segmented");
+  ASSERT_TRUE(segmented.Save(segmented_dir).ok());
+  const std::map<std::string, uint32_t> segmented_expected = {
+      {"MANIFEST", 12297664u},       {"catalog.1.bin", 2940417152u},
+      {"data.1.seg", 3907376050u},   {"seg-1.dat", 3990705211u},
+      {"seg-2.dat", 3643146726u},    {"seg-3.dat", 2660163075u},
+      {"seg-4.dat", 2603519798u},
+  };
+  EXPECT_EQ(FileChecksums(segmented_dir), segmented_expected);
 }
 
 }  // namespace

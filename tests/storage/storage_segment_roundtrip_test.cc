@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -21,6 +20,7 @@
 #include "core/segments.h"
 #include "storage/format.h"
 #include "table/generator.h"
+#include "temp_store_dir.h"
 
 namespace incdb {
 namespace {
@@ -74,10 +74,6 @@ Database MakeSegmentedDb(uint64_t num_rows,
   return db;
 }
 
-std::string TempDir(const std::string& tag) {
-  return "storage_seg_" + tag + "_" + std::to_string(getpid()) + ".incdb";
-}
-
 void ExpectSameAnswers(const Database& a, const Database& b) {
   for (MissingSemantics semantics :
        {MissingSemantics::kMatch, MissingSemantics::kNoMatch}) {
@@ -94,9 +90,11 @@ void ExpectSameAnswers(const Database& a, const Database& b) {
   }
 }
 
-TEST(StorageSegmentRoundtripTest, SegmentedStoreRoundTrips) {
+class StorageSegmentRoundtripTest : public TempStoreTest<> {};
+
+TEST_F(StorageSegmentRoundtripTest, SegmentedStoreRoundTrips) {
   Database db = MakeSegmentedDb(5 * kSegmentRows + 11);  // 5 segments + tail
-  const std::string dir = TempDir("basic");
+  const std::string dir = StoreDir("basic");
   ASSERT_TRUE(db.Save(dir).ok());
 
   // One file per sealed segment landed next to the catalog/data pair.
@@ -125,14 +123,14 @@ TEST(StorageSegmentRoundtripTest, SegmentedStoreRoundTrips) {
   EXPECT_EQ(reopened->num_segments(), 6u);
 }
 
-TEST(StorageSegmentRoundtripTest, UnsegmentedV2StoreStillRoundTrips) {
+TEST_F(StorageSegmentRoundtripTest, UnsegmentedV2StoreStillRoundTrips) {
   // A database without segments writes v2 with an empty segment table;
   // the reader must treat it exactly like v1.
   Database db = Database::FromTable(
                     GenerateTable(UniformSpec(200, 6, 0.2, 3, 811)).value())
                     .value();
   ASSERT_TRUE(db.BuildIndex(IndexKind::kBitmapEquality).ok());
-  const std::string dir = TempDir("plain");
+  const std::string dir = StoreDir("plain");
   ASSERT_TRUE(db.Save(dir).ok());
   EXPECT_TRUE(SegmentFilesIn(dir).empty());
   auto reopened = Database::Open(dir);
@@ -141,9 +139,9 @@ TEST(StorageSegmentRoundtripTest, UnsegmentedV2StoreStillRoundTrips) {
   EXPECT_EQ(reopened->num_rows(), 200u);
 }
 
-TEST(StorageSegmentRoundtripTest, DirtySaveRewritesOnlyNewSegments) {
+TEST_F(StorageSegmentRoundtripTest, DirtySaveRewritesOnlyNewSegments) {
   Database db = MakeSegmentedDb(4 * kSegmentRows);
-  const std::string dir = TempDir("dirty");
+  const std::string dir = StoreDir("dirty");
   ASSERT_TRUE(db.Save(dir).ok());
 
   // Capture every segment file's bytes and mtime after the first save.
@@ -184,9 +182,9 @@ TEST(StorageSegmentRoundtripTest, DirtySaveRewritesOnlyNewSegments) {
   ExpectSameAnswers(db, *reopened);
 }
 
-TEST(StorageSegmentRoundtripTest, CompactionDropsStaleSegmentFilesOnSave) {
+TEST_F(StorageSegmentRoundtripTest, CompactionDropsStaleSegmentFilesOnSave) {
   Database db = MakeSegmentedDb(4 * kSegmentRows);
-  const std::string dir = TempDir("compact");
+  const std::string dir = StoreDir("compact");
   ASSERT_TRUE(db.Save(dir).ok());
   const size_t files_before = SegmentFilesIn(dir).size();
   ASSERT_EQ(files_before, 4u);
@@ -215,9 +213,9 @@ TEST(StorageSegmentRoundtripTest, CompactionDropsStaleSegmentFilesOnSave) {
   EXPECT_EQ(reopened->num_deleted_rows(), 0u);
 }
 
-TEST(StorageSegmentRoundtripTest, EverySegmentFileByteFlipIsDetected) {
+TEST_F(StorageSegmentRoundtripTest, EverySegmentFileByteFlipIsDetected) {
   Database db = MakeSegmentedDb(3 * kSegmentRows);
-  const std::string dir = TempDir("flip");
+  const std::string dir = StoreDir("flip");
   ASSERT_TRUE(db.Save(dir).ok());
   const std::vector<std::string> files = SegmentFilesIn(dir);
   ASSERT_EQ(files.size(), 3u);
@@ -247,7 +245,7 @@ TEST(StorageSegmentRoundtripTest, EverySegmentFileByteFlipIsDetected) {
   EXPECT_TRUE(Database::Open(dir).ok());
 }
 
-TEST(StorageSegmentRoundtripTest, CompositeSegmentKindsRoundTrip) {
+TEST_F(StorageSegmentRoundtripTest, CompositeSegmentKindsRoundTrip) {
   // Segments carrying the v3 composite index kinds: the per-segment files
   // must serialize, reopen through the mmap borrowed-view path, keep zone
   // pruning, and answer every shape identically — including byte-flip
@@ -256,7 +254,7 @@ TEST(StorageSegmentRoundtripTest, CompositeSegmentKindsRoundTrip) {
                          IndexKind::kBitmapHierarchical}) {
     Database db = MakeSegmentedDb(3 * kSegmentRows + 7, kind);
     const std::string dir =
-        TempDir(kind == IndexKind::kBitmapMultiComponent ? "mc" : "hier");
+        StoreDir(kind == IndexKind::kBitmapMultiComponent ? "mc" : "hier");
     ASSERT_TRUE(db.Save(dir).ok());
     ASSERT_EQ(SegmentFilesIn(dir).size(), 3u);
 
@@ -271,7 +269,7 @@ TEST(StorageSegmentRoundtripTest, CompositeSegmentKindsRoundTrip) {
                                     static_cast<Value>(1 + i % 5)}).ok());
     }
     EXPECT_EQ(reopened->num_segments(), 4u);
-    const std::string dir2 = TempDir(
+    const std::string dir2 = StoreDir(
         kind == IndexKind::kBitmapMultiComponent ? "mc2" : "hier2");
     ASSERT_TRUE(reopened->Save(dir2).ok());
     auto again = Database::Open(dir2);
@@ -297,12 +295,12 @@ TEST(StorageSegmentRoundtripTest, CompositeSegmentKindsRoundTrip) {
   }
 }
 
-TEST(StorageSegmentRoundtripTest, SaveAfterOpenReusesOpenedSegmentFiles) {
+TEST_F(StorageSegmentRoundtripTest, SaveAfterOpenReusesOpenedSegmentFiles) {
   // Open seeds the persist cache from the catalog, so a save back into the
   // same directory rewrites no segment file even without a prior Save in
   // this process.
   Database original = MakeSegmentedDb(3 * kSegmentRows + 5);
-  const std::string dir = TempDir("reopen");
+  const std::string dir = StoreDir("reopen");
   ASSERT_TRUE(original.Save(dir).ok());
 
   auto db = Database::Open(dir);

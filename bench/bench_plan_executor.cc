@@ -9,8 +9,8 @@
 // pool itself — and the answers are bit-identical by construction.
 //
 // Usage: bench_plan_executor [--json <path>]
-// With --json, timings are also written as the machine-readable
-// BENCH_plan_executor.json trajectory file.
+// With --json, timings are also written as machine-readable JSON, which
+// tools/bench_gate.py compares between two builds.
 
 #include <cstdint>
 #include <cstdio>

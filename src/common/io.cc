@@ -1,6 +1,8 @@
 #include "common/io.h"
 
+#include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 namespace incdb {
 
@@ -117,48 +119,52 @@ Result<std::string> BinaryReader::ReadString(uint64_t max_len) {
     return Status::IOError("string length " + std::to_string(len) +
                            " exceeds limit (corrupted input?)");
   }
-  std::string value(len, '\0');
-  INCDB_RETURN_IF_ERROR(ReadRaw(value.data(), len));
+  // Grow by what the input delivers, so a corrupted length allocates no
+  // more than the bytes actually present.
+  std::string value;
+  while (value.size() < len) {
+    const size_t old_size = value.size();
+    const size_t n = static_cast<size_t>(
+        std::min<uint64_t>(len - old_size, kReadChunkBytes));
+    value.resize(old_size + n);
+    INCDB_RETURN_IF_ERROR(ReadRaw(value.data() + old_size, n));
+  }
   return value;
 }
 
-Result<std::vector<uint32_t>> BinaryReader::ReadU32Vector(uint64_t max_len) {
+template <typename T>
+Result<std::vector<T>> BinaryReader::ReadVector(uint64_t max_len) {
   INCDB_ASSIGN_OR_RETURN(uint64_t len, ReadU64());
   if (len > max_len) {
     return Status::IOError("vector length " + std::to_string(len) +
                            " exceeds limit (corrupted input?)");
   }
-  std::vector<uint32_t> values(len);
-  for (uint64_t i = 0; i < len; ++i) {
-    INCDB_ASSIGN_OR_RETURN(values[i], ReadU32());
+  // Read whole chunks and append only what was read: a corrupted length
+  // fails at the end of the input instead of allocating `len` elements.
+  std::vector<T> values;
+  unsigned char chunk[kReadChunkBytes];
+  while (values.size() < len) {
+    const size_t n = static_cast<size_t>(
+        std::min<uint64_t>(len - values.size(), sizeof(chunk) / sizeof(T)));
+    INCDB_RETURN_IF_ERROR(ReadRaw(chunk, n * sizeof(T)));
+    for (size_t i = 0; i < n; ++i) {
+      values.push_back(static_cast<T>(
+          DecodeLE<std::make_unsigned_t<T>>(chunk + i * sizeof(T))));
+    }
   }
   return values;
+}
+
+Result<std::vector<uint32_t>> BinaryReader::ReadU32Vector(uint64_t max_len) {
+  return ReadVector<uint32_t>(max_len);
 }
 
 Result<std::vector<uint64_t>> BinaryReader::ReadU64Vector(uint64_t max_len) {
-  INCDB_ASSIGN_OR_RETURN(uint64_t len, ReadU64());
-  if (len > max_len) {
-    return Status::IOError("vector length " + std::to_string(len) +
-                           " exceeds limit (corrupted input?)");
-  }
-  std::vector<uint64_t> values(len);
-  for (uint64_t i = 0; i < len; ++i) {
-    INCDB_ASSIGN_OR_RETURN(values[i], ReadU64());
-  }
-  return values;
+  return ReadVector<uint64_t>(max_len);
 }
 
 Result<std::vector<int32_t>> BinaryReader::ReadI32Vector(uint64_t max_len) {
-  INCDB_ASSIGN_OR_RETURN(uint64_t len, ReadU64());
-  if (len > max_len) {
-    return Status::IOError("vector length " + std::to_string(len) +
-                           " exceeds limit (corrupted input?)");
-  }
-  std::vector<int32_t> values(len);
-  for (uint64_t i = 0; i < len; ++i) {
-    INCDB_ASSIGN_OR_RETURN(values[i], ReadI32());
-  }
-  return values;
+  return ReadVector<int32_t>(max_len);
 }
 
 }  // namespace incdb

@@ -43,7 +43,9 @@ class BinaryWriter {
 
 /// Little-endian binary reader matching BinaryWriter. All Read* methods
 /// return an error on truncated input; limits guard against corrupted
-/// length prefixes.
+/// length prefixes. Strings and vectors grow as their bytes arrive, so a
+/// corrupted length below its limit fails at the end of the input instead
+/// of allocating memory the input cannot fill.
 class BinaryReader {
  public:
   explicit BinaryReader(std::istream& in) : in_(in) {}
@@ -60,7 +62,11 @@ class BinaryReader {
   Result<std::vector<int32_t>> ReadI32Vector(uint64_t max_len = 1ull << 32);
 
  private:
+  static constexpr size_t kReadChunkBytes = 4096;
+
   Status ReadRaw(void* data, size_t size);
+  template <typename T>
+  Result<std::vector<T>> ReadVector(uint64_t max_len);
 
   std::istream& in_;
 };

@@ -71,7 +71,7 @@ inline constexpr size_t kDefaultMaxFrameBytes = 64u << 20;
 struct Hello {
   uint32_t magic = kMagic;
   uint32_t version = kProtocolVersion;
-  /// Advisory display name ("incdb_serverd 1", "bench_serving_qps", ...).
+  /// Advisory display name ("incdb_serverd 1", "incdb_cli", ...).
   std::string peer_name;
 };
 

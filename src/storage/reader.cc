@@ -198,7 +198,7 @@ Result<std::shared_ptr<const IncompleteIndex>> ReadBitmapIndex(
       if (num_bitmaps > (1u << 26)) {
         return Status::IOError("store catalog: implausible bitmap count");
       }
-      axis.reserve(num_bitmaps);
+      // No reserve: the count is unverified until its bitmaps are read.
       for (uint64_t j = 0; j < num_bitmaps; ++j) {
         INCDB_ASSIGN_OR_RETURN(WahBitVector vec,
                                ReadWahBitvector(catalog, map, verify));
@@ -253,11 +253,13 @@ Result<std::shared_ptr<const IncompleteIndex>> ReadVaFile(
     if (quantizer.num_bins > (1u << 30)) {
       return Status::IOError("store catalog: implausible VA-file bin count");
     }
-    quantizer.bin_lo.resize(quantizer.num_bins);
-    quantizer.bin_hi.resize(quantizer.num_bins);
+    // Append bin by bin: an unverified catalog's bin count must not size
+    // an allocation before its bins are read.
     for (uint32_t i = 0; i < quantizer.num_bins; ++i) {
-      INCDB_ASSIGN_OR_RETURN(quantizer.bin_lo[i], catalog.ReadI32());
-      INCDB_ASSIGN_OR_RETURN(quantizer.bin_hi[i], catalog.ReadI32());
+      INCDB_ASSIGN_OR_RETURN(Value lo, catalog.ReadI32());
+      INCDB_ASSIGN_OR_RETURN(Value hi, catalog.ReadI32());
+      quantizer.bin_lo.push_back(lo);
+      quantizer.bin_hi.push_back(hi);
     }
     attributes.push_back(std::move(quantizer));
   }
@@ -536,7 +538,6 @@ Result<OpenedStore> OpenStore(const std::string& dir,
         return Status::IOError("'" + catalog_path +
                                "': implausible segment count");
       }
-      segment_entries.reserve(num_segments);
       uint64_t next_begin = 0;
       for (uint64_t s = 0; s < num_segments; ++s) {
         SegmentCatalogEntry entry;

@@ -12,10 +12,12 @@
 #include <string>
 #include <vector>
 
+#include "common/io.h"
 #include "core/database.h"
 #include "storage/checksum.h"
 #include "storage/format.h"
 #include "table/generator.h"
+#include "vafile/va_file.h"
 #include "temp_store_dir.h"
 
 namespace incdb {
@@ -35,18 +37,22 @@ void WriteFile(const std::string& path, const std::string& bytes) {
   ASSERT_TRUE(out.good()) << path;
 }
 
+DatasetSpec CorruptionSpec() {
+  DatasetSpec spec;
+  spec.seed = 42;
+  spec.num_rows = 120;
+  spec.attributes.push_back({"a", 5, 0.2, 0.0});
+  spec.attributes.push_back({"b", 9, 0.0, 0.0});
+  return spec;
+}
+
 /// A store with data and a couple of zero-copy indexes, small enough to
 /// corrupt byte by byte.
 class StorageCorruptionTest : public TempStoreTest<> {
  protected:
   void SetUp() override {
     TempStoreTest::SetUp();
-    DatasetSpec spec;
-    spec.seed = 42;
-    spec.num_rows = 120;
-    spec.attributes.push_back({"a", 5, 0.2, 0.0});
-    spec.attributes.push_back({"b", 9, 0.0, 0.0});
-    Table table = GenerateTable(spec).value();
+    Table table = GenerateTable(CorruptionSpec()).value();
     Database db = std::move(Database::FromTable(std::move(table)).value());
     ASSERT_TRUE(db.BuildIndex(IndexKind::kBitmapEquality).ok());
     ASSERT_TRUE(db.BuildIndex(IndexKind::kVaFile).ok());
@@ -160,6 +166,43 @@ TEST_F(StorageCorruptionTest, SegmentCorruptionNeedsChecksumPass) {
   // pristine store; this documents (rather than guarantees) that the
   // fast path is the caller's trade-off, not a hidden verify.
   ASSERT_TRUE(Database::Open(dir_, /*verify_checksums=*/false).ok());
+}
+
+TEST_F(StorageCorruptionTest, UnverifiedOpenRejectsHugeVaFileLengths) {
+  // Without the checksum pass a corrupt catalog reaches the VA-file reader.
+  // Its lengths must fail at the end of the catalog instead of sizing an
+  // allocation first: 2^32 - 1 bin codes would be 16 GiB, 2^30 bins 8 GiB.
+  const std::string catalog = storage::CatalogFileName(1);
+  Table table = GenerateTable(CorruptionSpec()).value();
+  const VaFile va = VaFile::Build(table).value();
+  const VaFile::AttributeQuantizer& first = va.attributes().front();
+  std::ostringstream record;
+  BinaryWriter writer(record);
+  writer.WriteU32(static_cast<uint32_t>(first.bits));
+  writer.WriteU32(first.num_bins);
+  writer.WriteU32(first.cardinality);
+  writer.WriteU32(first.bit_offset);
+  writer.WriteU32Vector(first.code_of_value);
+  const std::string& pristine = pristine_[catalog];
+  const size_t at = pristine.find(record.str());
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(pristine.find(record.str(), at + 1), std::string::npos);
+
+  const auto patch = [&](size_t offset, uint64_t value, size_t width) {
+    std::string corrupted = pristine;
+    for (size_t b = 0; b < width; ++b) {
+      corrupted[at + offset + b] = static_cast<char>(value >> (8 * b));
+    }
+    WriteFile(dir_ + "/" + catalog, corrupted);
+    const auto opened = Database::Open(dir_, /*verify_checksums=*/false);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kIOError);
+    // The checksum pass names the damage before any length is read.
+    EXPECT_FALSE(Database::Open(dir_).ok());
+  };
+  patch(/*code_of_value length*/ 16, (uint64_t{1} << 32) - 1, 8);
+  patch(/*num_bins*/ 4, uint64_t{1} << 30, 4);
+  Restore(catalog);
 }
 
 }  // namespace

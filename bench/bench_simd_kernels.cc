@@ -14,6 +14,9 @@
 // window on the compressed-form strategies, so times stay within noise of
 // the baseline (the +-10% acceptance band).
 //
+// A second table times the crc32 kernel (the store's section checksum) at
+// each level over 64 B, 4 KiB, 1 MiB and 16 MiB buffers, in GB/s.
+//
 // Usage: bench_simd_kernels [--json <path>]
 // With --json, per-configuration timings are written as the
 // machine-readable BENCH_simd_kernels.json trajectory file.
@@ -201,6 +204,38 @@ void RunSuite(const char* word_name, uint64_t num_bits, int reps,
   }
 }
 
+// Times Kernels::crc32 at every level over buffer sizes from one small
+// section write to a whole store file. These sizes are fixed, not scaled
+// by INCDB_BENCH_ROWS.
+void RunCrc32Suite(int reps) {
+  constexpr struct {
+    const char* name;
+    size_t bytes;
+  } kSizes[] = {{"64B", 64},
+                {"4KiB", size_t{4} << 10},
+                {"1MiB", size_t{1} << 20},
+                {"16MiB", size_t{16} << 20}};
+  Rng rng(0xC3C32);
+  std::vector<uint8_t> buf(kSizes[3].bytes);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+
+  std::printf("\n# crc32 kernel (best of %d runs)\n", reps);
+  bench::PrintHeader({"size", "mode", "ns", "gb_per_s"});
+  for (const auto& size : kSizes) {
+    for (simd::Level level : AvailableLevels()) {
+      const simd::Kernels& kernels = simd::KernelsFor(level);
+      const double ms = BestMillis(reps, [&] {
+        g_sink += kernels.crc32(buf.data(), size.bytes, 0);
+      });
+      const std::string mode(simd::LevelToString(level));
+      bench::PrintRow({size.name, mode, bench::FormatDouble(ms * 1e6, 1),
+                       bench::FormatDouble(
+                           static_cast<double>(size.bytes) / (ms * 1e6), 2)});
+      bench::RecordResult("crc32@" + mode, size.name, ms, size.bytes);
+    }
+  }
+}
+
 int Main(int argc, char** argv) {
   bench::Init(argc, argv);
   const uint64_t num_bits = bench::BenchRows(1000000);
@@ -221,6 +256,7 @@ int Main(int argc, char** argv) {
                       "andcnt_x"});
   RunSuite<uint32_t>("w32", num_bits, reps, dense_threshold);
   RunSuite<uint64_t>("w64", num_bits, reps, dense_threshold);
+  RunCrc32Suite(reps);
 
   std::printf("# checksum %llu\n", static_cast<unsigned long long>(g_sink));
   bench::WriteJson();

@@ -11,16 +11,22 @@ namespace simd {
 /// Instruction-set dispatch levels, ordered: a higher level strictly
 /// extends the lower one. The scalar level is the bit-identical reference
 /// implementation every vectorized level is tested against.
+///
+/// Both vector levels compute CRC-32 with a PCLMULQDQ fold, so each also
+/// requires the pclmul cpuid bit: a CPU with SSE4.2 or AVX2 but without
+/// carry-less multiply (pre-Westmere parts) is detected as scalar.
 enum class Level : int {
-  kScalar = 0,
-  kSse2 = 1,  // 128-bit ops; popcount via the hardware POPCNT instruction
-  kAvx2 = 2,  // 256-bit ops; Harley–Seal block popcount
+  kScalar = 0,  // 8-byte words; slicing-by-8 CRC-32
+  kSse2 = 1,    // 128-bit ops; popcount via the hardware POPCNT
+                // instruction; PCLMULQDQ CRC-32
+  kAvx2 = 2,    // 256-bit ops; Harley–Seal block popcount; PCLMULQDQ CRC-32
 };
 
 /// "scalar" / "sse2" / "avx2".
 std::string_view LevelToString(Level level);
 
-/// Best level the running CPU supports (cpuid probe; scalar off x86).
+/// Best level the running CPU supports (cpuid probe; scalar off x86 and on
+/// x86 without pclmul).
 Level DetectedLevel();
 
 /// The level the kernel table actually dispatches to. Resolved once on
@@ -63,6 +69,13 @@ struct Kernels {
   /// written. Indices ascend; bit i of words[w] is index base + 64*w + i.
   size_t (*extract_set_bits)(const uint64_t* words, size_t n, uint64_t base,
                              uint32_t* out);
+  /// Standard CRC-32 (reflected polynomial 0xEDB88320, initial value and
+  /// final xor 0xFFFFFFFF) of `size` bytes at any alignment; `seed` is the
+  /// result of a previous call to continue a running checksum (0 to
+  /// start). Scalar: slicing-by-8. sse2/avx2: a four-lane PCLMULQDQ fold,
+  /// 64 bytes per step, with slicing-by-8 for inputs under 64 bytes and
+  /// the final under-16-byte tail.
+  uint32_t (*crc32)(const void* data, size_t size, uint32_t seed);
   Level level;
 };
 

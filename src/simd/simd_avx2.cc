@@ -247,8 +247,8 @@ size_t ExtractSetBits(const uint64_t* words, size_t n, uint64_t base,
 }
 
 constexpr Kernels kAvx2Kernels = {
-    AndInto, OrInto,   XorInto,        AndNotInto,
-    OrNotMaskInto, Popcount, ExtractSetBits, Level::kAvx2,
+    AndInto,  OrInto,         XorInto,     AndNotInto,  OrNotMaskInto,
+    Popcount, ExtractSetBits, Crc32Pclmul, Level::kAvx2,
 };
 
 }  // namespace

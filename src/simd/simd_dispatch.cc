@@ -56,6 +56,8 @@ std::string_view LevelToString(Level level) {
 
 Level DetectedLevel() {
 #if defined(__x86_64__) || defined(__i386__)
+  // Both vector tables compute crc32 with PCLMULQDQ (simd_pclmul.cc).
+  if (!__builtin_cpu_supports("pclmul")) return Level::kScalar;
   if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
   if (__builtin_cpu_supports("sse4.2")) return Level::kSse2;
 #endif

@@ -8,10 +8,10 @@
 
 // Internal seam between the dispatcher and the per-ISA translation units.
 // Each ISA's kernels live in their own .cc compiled with that ISA's flags
-// (-msse4.2 / -mavx2); this header stays intrinsic-free so including it
-// never leaks ISA requirements into other translation units. When a TU is
-// built without its ISA (non-x86 targets), its accessor returns the scalar
-// table, so the dispatcher can link unconditionally.
+// (-msse4.2 / -mavx2 / -mpclmul); this header stays intrinsic-free so
+// including it never leaks ISA requirements into other translation units.
+// When a TU is built without its ISA (non-x86 targets), its accessor
+// returns the scalar table, so the dispatcher can link unconditionally.
 
 namespace incdb {
 namespace simd {
@@ -20,6 +20,16 @@ namespace internal {
 const Kernels& ScalarKernels();
 const Kernels& Sse2Kernels();
 const Kernels& Avx2Kernels();
+
+/// Slicing-by-8 CRC-32 over the raw remainder register: `crc` in and out
+/// is the register itself, without Kernels::crc32's 0xFFFFFFFF pre- and
+/// post-inversion. The scalar level's crc32, and the PCLMULQDQ fold's
+/// path for short inputs and tails (simd_scalar.cc).
+uint32_t Crc32Slice8(uint32_t crc, const void* data, size_t size);
+
+/// Kernels::crc32 of the sse2 and avx2 levels: the PCLMULQDQ fold
+/// (simd_pclmul.cc, the only TU built with -mpclmul).
+uint32_t Crc32Pclmul(const void* data, size_t size, uint32_t seed);
 
 /// Unaligned, size-exact word I/O for the sub-8-byte buffer tails every
 /// kernel level shares. memcpy keeps them defined behavior on any

@@ -163,8 +163,8 @@ size_t ExtractSetBits(const uint64_t* words, size_t n, uint64_t base,
 }
 
 constexpr Kernels kSse2Kernels = {
-    AndInto, OrInto,   XorInto,        AndNotInto,
-    OrNotMaskInto, Popcount, ExtractSetBits, Level::kSse2,
+    AndInto,  OrInto,         XorInto,     AndNotInto,  OrNotMaskInto,
+    Popcount, ExtractSetBits, Crc32Pclmul, Level::kSse2,
 };
 
 }  // namespace

@@ -1,39 +1,12 @@
 #include "storage/checksum.h"
 
-#include <array>
+#include "simd/simd.h"
 
 namespace incdb {
 namespace storage {
 
-namespace {
-
-// Table-driven CRC-32 (reflected, polynomial 0xEDB88320), one byte per step.
-// ~1 GB/s in practice — plenty for catalog/manifest sections; bulk sections
-// are verified only when OpenOptions::verify_checksums is on, so the mmap
-// fast path never pays this.
-constexpr std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t crc = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
-    }
-    table[i] = crc;
-  }
-  return table;
-}
-
-constexpr std::array<uint32_t, 256> kCrcTable = MakeCrcTable();
-
-}  // namespace
-
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  uint32_t crc = seed ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ kCrcTable[(crc ^ bytes[i]) & 0xFFu];
-  }
-  return crc ^ 0xFFFFFFFFu;
+  return simd::ActiveKernels().crc32(data, size, seed);
 }
 
 }  // namespace storage

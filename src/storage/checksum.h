@@ -11,6 +11,11 @@ namespace storage {
 /// Guards every on-disk section against bit rot and truncation; see
 /// docs/STORAGE.md. Incremental use: pass the previous return value as
 /// `seed` to continue a running checksum over multiple buffers.
+///
+/// Runs the runtime-dispatched simd::Kernels::crc32 of the active level
+/// (simd::ActiveKernels()): a PCLMULQDQ fold at sse2/avx2, slicing-by-8 at
+/// scalar. Every level returns the same value, so `INCDB_SIMD` never
+/// changes what is written or accepted.
 uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
 
 /// Accumulates a CRC-32 over a stream of buffers (the section writer's

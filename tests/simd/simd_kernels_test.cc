@@ -3,11 +3,15 @@
 // an independent reference implementation, for every kernel, at byte counts
 // that exercise full vector blocks, partial blocks, whole-word tails and
 // sub-word tails (odd uint32 WAH group counts land on 4-byte tails).
+// crc32 is checked against a byte-at-a-time CRC-32 over every length and
+// start offset that reaches its vector folds and scalar tails.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstring>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -195,6 +199,93 @@ TEST(SimdKernels, ExtractSetBitsMatchesReferenceAtEveryLevel) {
   }
 }
 
+// The CRC-32 oracle: one table lookup per byte, the loop the store used
+// before the dispatched kernels. `crc` is the raw register (the public
+// value inverted), so a running oracle gives every prefix's CRC in one pass.
+uint32_t RefCrc32Step(uint32_t crc, uint8_t byte) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c >> 1) ^ ((c & 1) ? 0xEDB88320u : 0u);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  return (crc >> 8) ^ table[(crc ^ byte) & 0xFFu];
+}
+
+uint32_t RefCrc32(const uint8_t* data, size_t size, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < size; ++i) crc = RefCrc32Step(crc, data[i]);
+  return ~crc;
+}
+
+TEST(SimdKernels, Crc32MatchesByteLoopForEveryLengthAndOffset) {
+  constexpr size_t kMaxLength = 4096;
+  constexpr size_t kOffsets = 16;
+  Rng rng(0xC3C32);
+  const std::vector<uint8_t> buf = RandomBytes(rng, kMaxLength + kOffsets);
+  for (Level level : AvailableLevels()) {
+    const Kernels& k = KernelsFor(level);
+    for (uint32_t seed : {0u, 0x9E3779B9u}) {
+      for (size_t offset = 0; offset < kOffsets; ++offset) {
+        const uint8_t* data = buf.data() + offset;
+        uint32_t running = ~seed;  // oracle register over data[0, length)
+        for (size_t length = 0; length <= kMaxLength; ++length) {
+          if (length > 0) running = RefCrc32Step(running, data[length - 1]);
+          const uint32_t got = k.crc32(data, length, seed);
+          if (got != ~running) {
+            ADD_FAILURE() << "level=" << LevelToString(level)
+                          << " seed=" << seed << " offset=" << offset
+                          << " length=" << length;
+            return;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, Crc32MatchesByteLoopOnLargeBuffers) {
+  Rng rng(4242);
+  for (size_t size : {size_t{64 * 1024 + 7}, size_t{1024 * 1024 + 13}}) {
+    const std::vector<uint8_t> buf = RandomBytes(rng, size);
+    const uint32_t expected = RefCrc32(buf.data(), size, 0);
+    for (Level level : AvailableLevels()) {
+      EXPECT_EQ(KernelsFor(level).crc32(buf.data(), size, 0), expected)
+          << "level=" << LevelToString(level) << " size=" << size;
+    }
+  }
+}
+
+TEST(SimdKernels, Crc32ChainsThroughTheSeed) {
+  Rng rng(77);
+  const std::vector<uint8_t> buf = RandomBytes(rng, 3000);
+  const uint32_t whole = RefCrc32(buf.data(), buf.size(), 0);
+  for (Level level : AvailableLevels()) {
+    const Kernels& k = KernelsFor(level);
+    for (size_t split : {size_t{0}, size_t{1}, size_t{15}, size_t{63},
+                         size_t{64}, size_t{65}, size_t{1000}, size_t{2999},
+                         size_t{3000}}) {
+      const uint32_t a = k.crc32(buf.data(), split, 0);
+      EXPECT_EQ(k.crc32(buf.data() + split, buf.size() - split, a), whole)
+          << "level=" << LevelToString(level) << " split=" << split;
+    }
+  }
+}
+
+TEST(SimdKernels, Crc32KnownAnswer) {
+  constexpr std::string_view kCheck = "123456789";
+  for (Level level : AvailableLevels()) {
+    EXPECT_EQ(KernelsFor(level).crc32(kCheck.data(), kCheck.size(), 0),
+              0xCBF43926u)
+        << "level=" << LevelToString(level);
+  }
+}
+
 TEST(SimdKernels, ForEachSetBitInWordCoversAllShapes) {
   auto collect = [](uint64_t word, uint64_t base) {
     std::vector<uint64_t> got;
@@ -226,6 +317,21 @@ TEST(SimdDispatch, ActiveNeverExceedsDetectedAndForceClamps) {
   }
   ForceLevelForTesting(original);
   EXPECT_EQ(ActiveLevel(), original);
+}
+
+// Both vector levels run the PCLMULQDQ CRC-32 fold, so the dispatcher
+// must never pick one on a CPU without carry-less multiply.
+TEST(SimdDispatch, VectorLevelsRequirePclmul) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (ActiveLevel() > Level::kScalar) {
+    EXPECT_TRUE(__builtin_cpu_supports("pclmul"));
+  }
+  if (DetectedLevel() > Level::kScalar) {
+    EXPECT_TRUE(__builtin_cpu_supports("pclmul"));
+  }
+#else
+  EXPECT_EQ(DetectedLevel(), Level::kScalar);
+#endif
 }
 
 TEST(SimdDispatch, LevelNames) {

@@ -18,8 +18,7 @@ namespace {
 constexpr IndexKind kCandidates[] = {
     IndexKind::kSequentialScan, IndexKind::kBitmapEquality,
     IndexKind::kBitmapRange,    IndexKind::kBitmapInterval,
-    IndexKind::kBitmapBitSliced, IndexKind::kVaFile,
-    IndexKind::kMosaic};
+    IndexKind::kBitmapBitSliced, IndexKind::kVaFile};
 
 int Main() {
   const uint64_t rows = bench::BenchRows(50000);

@@ -10,6 +10,8 @@
 
 #include <cstdio>
 
+#include "baselines/bitstring_augmented.h"
+#include "baselines/mosaic.h"
 #include "bench/bench_common.h"
 #include "table/generator.h"
 
@@ -26,9 +28,10 @@ int Main() {
   const auto bee = bench::MustCreateIndex(IndexKind::kBitmapEquality, table);
   const auto bre = bench::MustCreateIndex(IndexKind::kBitmapRange, table);
   const auto va = bench::MustCreateIndex(IndexKind::kVaFile, table);
-  const auto mosaic = bench::MustCreateIndex(IndexKind::kMosaic, table);
-  const auto bitstring =
-      bench::MustCreateIndex(IndexKind::kBitstringAugmented, table);
+  const MosaicIndex mosaic =
+      bench::MustBuild(MosaicIndex::Build(table), "MOSAIC");
+  const BitstringAugmentedIndex bitstring = bench::MustBuild(
+      BitstringAugmentedIndex::Build(table), "Bitstring-Augmented");
 
   std::printf("# Ours vs [12] baselines: query time vs dimensionality "
               "(%llu rows, cardinality 10, 20%% missing, GS=1%%, "
@@ -47,7 +50,7 @@ int Main() {
         bench::MustGenerateWorkload(table, params);
 
     const WorkloadResult bitstring_result =
-        bench::MustRunWorkload(*bitstring, queries, rows);
+        bench::MustRunWorkload(bitstring, queries, rows);
     bench::PrintRow(
         {std::to_string(dims),
          bench::FormatDouble(
@@ -57,15 +60,16 @@ int Main() {
          bench::FormatDouble(
              bench::MustRunWorkload(*va, queries, rows).total_millis, 2),
          bench::FormatDouble(
-             bench::MustRunWorkload(*mosaic, queries, rows).total_millis, 2),
+             bench::MustRunWorkload(mosaic, queries, rows).total_millis, 2),
          bench::FormatDouble(bitstring_result.total_millis, 2),
          std::to_string(bitstring_result.stats.subqueries)});
   }
 
   std::printf("\n# Index sizes for the same dataset\n");
   bench::PrintHeader({"index", "size_mb"});
-  for (const IncompleteIndex* index :
-       {bee.get(), bre.get(), va.get(), mosaic.get(), bitstring.get()}) {
+  const IncompleteIndex* const indexes[] = {bee.get(), bre.get(), va.get(),
+                                            &mosaic, &bitstring};
+  for (const IncompleteIndex* index : indexes) {
     bench::PrintRow(
         {index->Name(), bench::FormatBytesAsMB(index->SizeInBytes())});
   }

@@ -2,7 +2,10 @@
 #define INCDB_BENCH_BENCH_COMMON_H_
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/executor.h"
@@ -53,6 +56,18 @@ std::string FormatBytesAsMB(uint64_t bytes);
 WorkloadResult MustRunWorkload(const IncompleteIndex& index,
                                const std::vector<RangeQuery>& queries,
                                uint64_t num_rows);
+
+/// The value of a direct Build (of an index that is not an IndexKind), or
+/// die naming `what`.
+template <typename T>
+T MustBuild(Result<T> result, const char* what) {
+  if (!result.ok()) {
+    std::fprintf(stderr, "index build failed (%s): %s\n", what,
+                 result.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(result).value();
+}
 
 /// CreateIndex or die.
 std::unique_ptr<IncompleteIndex> MustCreateIndex(IndexKind kind,

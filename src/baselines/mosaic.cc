@@ -61,63 +61,6 @@ Result<BitVector> MosaicIndex::Execute(const RangeQuery& query,
   return result;
 }
 
-Status MosaicIndex::SaveTo(BinaryWriter& writer) const {
-  writer.WriteU64(num_rows_);
-  writer.WriteU64(trees_.size());
-  std::vector<int32_t> keys;
-  std::vector<uint32_t> records;
-  for (const BPlusTree& tree : trees_) {
-    keys.clear();
-    records.clear();
-    keys.reserve(tree.size());
-    records.reserve(tree.size());
-    tree.ForEachEntry([&](int32_t key, uint32_t record) {
-      keys.push_back(key);
-      records.push_back(record);
-    });
-    writer.WriteU32(static_cast<uint32_t>(tree.fanout()));
-    writer.WriteI32Vector(keys);
-    writer.WriteU32Vector(records);
-  }
-  return writer.status();
-}
-
-Result<MosaicIndex> MosaicIndex::LoadFrom(BinaryReader& reader,
-                                          size_t num_attributes) {
-  INCDB_ASSIGN_OR_RETURN(uint64_t num_rows, reader.ReadU64());
-  INCDB_ASSIGN_OR_RETURN(uint64_t num_trees, reader.ReadU64());
-  if (num_trees != num_attributes) {
-    return Status::IOError("MOSAIC payload has " + std::to_string(num_trees) +
-                           " trees, base table has " +
-                           std::to_string(num_attributes) + " attributes");
-  }
-  std::vector<BPlusTree> trees;
-  trees.reserve(num_trees);
-  for (uint64_t t = 0; t < num_trees; ++t) {
-    INCDB_ASSIGN_OR_RETURN(uint32_t fanout, reader.ReadU32());
-    if (fanout < 4 || fanout > (1u << 20)) {
-      return Status::IOError("MOSAIC payload: implausible fanout " +
-                             std::to_string(fanout));
-    }
-    INCDB_ASSIGN_OR_RETURN(std::vector<int32_t> keys, reader.ReadI32Vector());
-    INCDB_ASSIGN_OR_RETURN(std::vector<uint32_t> records,
-                           reader.ReadU32Vector());
-    if (keys.size() != records.size() || keys.size() != num_rows) {
-      return Status::IOError("MOSAIC payload: tree " + std::to_string(t) +
-                             " entry count mismatch");
-    }
-    BPlusTree tree(static_cast<int>(fanout));
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (records[i] >= num_rows) {
-        return Status::IOError("MOSAIC payload: record id out of range");
-      }
-      tree.Insert(keys[i], records[i]);
-    }
-    trees.push_back(std::move(tree));
-  }
-  return MosaicIndex(num_rows, std::move(trees));
-}
-
 uint64_t MosaicIndex::SizeInBytes() const {
   uint64_t total = 0;
   for (const BPlusTree& tree : trees_) total += tree.SizeInBytes();

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "btree/bplus_tree.h"
-#include "common/io.h"
 #include "core/incomplete_index.h"
 #include "query/query.h"
 #include "table/table.h"
@@ -31,17 +30,6 @@ class MosaicIndex : public IncompleteIndex {
   Result<BitVector> Execute(const RangeQuery& query,
                             QueryStats* stats = nullptr) const override;
   uint64_t SizeInBytes() const override;
-
-  /// Serializes the index into `writer` as per-tree sorted (key, record)
-  /// entry lists (the storage engine's catalog path; trees are rebuilt by
-  /// bulk insertion on load).
-  Status SaveTo(BinaryWriter& writer) const;
-
-  /// Loads an index written by SaveTo. `num_attributes` must match the base
-  /// table's attribute count (shape check; entries are validated against
-  /// the stored row count).
-  static Result<MosaicIndex> LoadFrom(BinaryReader& reader,
-                                      size_t num_attributes);
 
   uint64_t num_rows() const { return num_rows_; }
 

@@ -137,19 +137,6 @@ uint64_t BPlusTree::RangeScan(int32_t lo, int32_t hi,
   return nodes_visited;
 }
 
-void BPlusTree::ForEachEntry(
-    const std::function<void(int32_t key, uint32_t record)>& fn) const {
-  const Node* node = root_.get();
-  while (!node->is_leaf) {
-    node = node->children.front().get();
-  }
-  for (; node != nullptr; node = node->next_leaf) {
-    for (size_t i = 0; i < node->keys.size(); ++i) {
-      fn(node->keys[i], node->records[i]);
-    }
-  }
-}
-
 int BPlusTree::height() const {
   int h = 1;
   const Node* node = root_.get();

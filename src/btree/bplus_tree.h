@@ -2,7 +2,6 @@
 #define INCDB_BTREE_BPLUS_TREE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -44,12 +43,6 @@ class BPlusTree {
   uint64_t Lookup(int32_t key, std::vector<uint32_t>* out) const {
     return RangeScan(key, key, out);
   }
-
-  /// Visits every (key, record) entry in key order (stable on duplicate
-  /// keys) by walking the leaf chain. Used by the storage engine to
-  /// serialize a tree without exposing its node layout.
-  void ForEachEntry(
-      const std::function<void(int32_t key, uint32_t record)>& fn) const;
 
   uint64_t size() const { return size_; }
   int fanout() const { return fanout_; }

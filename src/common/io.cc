@@ -65,11 +65,6 @@ void BinaryWriter::WriteU64Vector(const std::vector<uint64_t>& values) {
   for (uint64_t v : values) WriteU64(v);
 }
 
-void BinaryWriter::WriteI32Vector(const std::vector<int32_t>& values) {
-  WriteU64(values.size());
-  for (int32_t v : values) WriteI32(v);
-}
-
 Status BinaryWriter::status() const {
   if (!out_) return Status::IOError("stream write failed");
   return Status::OK();
@@ -161,10 +156,6 @@ Result<std::vector<uint32_t>> BinaryReader::ReadU32Vector(uint64_t max_len) {
 
 Result<std::vector<uint64_t>> BinaryReader::ReadU64Vector(uint64_t max_len) {
   return ReadVector<uint64_t>(max_len);
-}
-
-Result<std::vector<int32_t>> BinaryReader::ReadI32Vector(uint64_t max_len) {
-  return ReadVector<int32_t>(max_len);
 }
 
 }  // namespace incdb

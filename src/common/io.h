@@ -29,8 +29,6 @@ class BinaryWriter {
   void WriteU32Vector(const std::vector<uint32_t>& values);
   /// Length-prefixed (u64) vector of u64.
   void WriteU64Vector(const std::vector<uint64_t>& values);
-  /// Length-prefixed (u64) vector of i32.
-  void WriteI32Vector(const std::vector<int32_t>& values);
 
   /// OK unless a stream write failed at any point.
   Status status() const;
@@ -59,7 +57,6 @@ class BinaryReader {
   Result<std::string> ReadString(uint64_t max_len = 1 << 20);
   Result<std::vector<uint32_t>> ReadU32Vector(uint64_t max_len = 1ull << 32);
   Result<std::vector<uint64_t>> ReadU64Vector(uint64_t max_len = 1ull << 32);
-  Result<std::vector<int32_t>> ReadI32Vector(uint64_t max_len = 1ull << 32);
 
  private:
   static constexpr size_t kReadChunkBytes = 4096;

@@ -9,19 +9,6 @@
 
 namespace incdb {
 
-namespace {
-
-// Average over attributes of a per-attribute quantity.
-template <typename Fn>
-double AttrAverage(const std::vector<AttributeHistogram>& histograms, Fn fn) {
-  if (histograms.empty()) return 0.0;
-  double sum = 0.0;
-  for (size_t a = 0; a < histograms.size(); ++a) sum += fn(a);
-  return sum / static_cast<double>(histograms.size());
-}
-
-}  // namespace
-
 IndexAdvisor::IndexAdvisor(const Table& table) : num_rows_(table.num_rows()) {
   histograms_.reserve(table.num_attributes());
   for (size_t a = 0; a < table.num_attributes(); ++a) {
@@ -266,42 +253,6 @@ IndexCostEstimate IndexAdvisor::Estimate(IndexKind kind,
       estimate.query_cost = n * (0.3 + 0.3 * static_cast<double>(dims));
       return estimate;
     }
-
-    case IndexKind::kMosaic: {
-      // B+-tree storage ~ 12 bytes/entry incl. structural overhead.
-      estimate.size_bytes = n * 12.0 * static_cast<double>(histograms_.size());
-      // Per dim: descent, then every matching entry is copied out of the
-      // leaves and set into a row bitvector (~2 touches per match — this
-      // per-record set-operation overhead is the paper's §2 argument
-      // against MOSAIC), plus the n-bit AND fold.
-      const double avg_selectivity = AttrAverage(
-          histograms_,
-          [&](size_t a) {
-            const double width = AvgTermWidth(profile, a);
-            return width /
-                   std::max<double>(1.0, histograms_[a].cardinality());
-          });
-      estimate.query_cost =
-          static_cast<double>(dims) *
-          (std::log2(std::max(2.0, n)) + avg_selectivity * n * 2.0 + n / 64.0);
-      return estimate;
-    }
-
-    case IndexKind::kBitstringAugmented: {
-      const double d = static_cast<double>(histograms_.size());
-      estimate.size_bytes = n * (4.0 * d + d / 8.0) * 1.3;
-      // 2^k subqueries under match semantics; each is an R-tree range
-      // search whose node accesses we approximate as a descent plus a
-      // boundary/overlap term — R-trees over sentinel-polluted data touch
-      // a nontrivial fraction of the leaves (the Fig. 1 effect).
-      const double subqueries =
-          profile.semantics == MissingSemantics::kMatch
-              ? std::pow(2.0, static_cast<double>(dims))
-              : 1.0;
-      estimate.query_cost =
-          subqueries * (std::log2(std::max(2.0, n)) * 16.0 + 0.05 * n);
-      return estimate;
-    }
   }
   return estimate;
 }
@@ -313,8 +264,7 @@ std::vector<IndexCostEstimate> IndexAdvisor::Rank(
        {IndexKind::kSequentialScan, IndexKind::kBitmapEquality,
         IndexKind::kBitmapRange, IndexKind::kBitmapInterval,
         IndexKind::kBitmapBitSliced, IndexKind::kBitmapMultiComponent,
-        IndexKind::kBitmapHierarchical, IndexKind::kVaFile,
-        IndexKind::kMosaic, IndexKind::kBitstringAugmented}) {
+        IndexKind::kBitmapHierarchical, IndexKind::kVaFile}) {
     const IndexCostEstimate estimate = Estimate(kind, profile);
     if (estimate.size_bytes <= memory_budget_bytes) ranked.push_back(estimate);
   }

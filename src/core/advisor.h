@@ -38,11 +38,10 @@ struct IndexCostEstimate {
 /// missing rates matter exactly as in the paper's §5.2 analysis) and a
 /// per-query cost in word touches (bitvector accesses × expected
 /// compressed words for the bitmap family; packed-scan words for the
-/// VA-file; cell reads for the scan; subquery counts for the baselines).
-/// Recommend() returns the cheapest kind whose predicted size fits the
-/// memory budget — reproducing the paper's guidance: BEE for point
-/// queries, BRE for range queries, VA-file under tight memory, scan for
-/// tiny tables.
+/// VA-file; cell reads for the scan). Recommend() returns the cheapest kind
+/// whose predicted size fits the memory budget — reproducing the paper's
+/// guidance: BEE for point queries, BRE for range queries, VA-file under
+/// tight memory, scan for tiny tables.
 class IndexAdvisor {
  public:
   /// Gathers histograms for every attribute (one pass over the table).

@@ -83,8 +83,9 @@ struct QueryStats {
 };
 
 /// Common interface for every query-answering structure in incdb: the
-/// paper's techniques (BEE, BRE, VA-file), the baselines (MOSAIC,
-/// bitstring-augmented, R-tree) and the sequential scan.
+/// paper's techniques (BEE, BRE, VA-file), the sequential scan, and the
+/// prior-work baselines in src/baselines (MOSAIC, bitstring-augmented
+/// R-tree), which benches and tests build directly.
 ///
 /// All implementations return *exact* results (any approximate filter is
 /// followed by a refinement step), matching the paper's 100%-precision

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cctype>
 
-#include "baselines/bitstring_augmented.h"
-#include "baselines/mosaic.h"
 #include "bitmap/bitmap_index.h"
 #include "core/scan_index.h"
 #include "vafile/va_file.h"
@@ -39,10 +37,6 @@ std::string_view IndexKindToString(IndexKind kind) {
       return "VA-File";
     case IndexKind::kVaPlusFile:
       return "VA+-File";
-    case IndexKind::kMosaic:
-      return "MOSAIC";
-    case IndexKind::kBitstringAugmented:
-      return "Bitstring-Augmented";
     case IndexKind::kBitmapMultiComponent:
       return "MC-WAH";
     case IndexKind::kBitmapHierarchical:
@@ -73,9 +67,6 @@ Result<IndexKind> IndexKindFromString(std::string_view name) {
       {"va", IndexKind::kVaFile},
       {"va+-file", IndexKind::kVaPlusFile},
       {"va+", IndexKind::kVaPlusFile},
-      {"mosaic", IndexKind::kMosaic},
-      {"bitstring-augmented", IndexKind::kBitstringAugmented},
-      {"bitstring", IndexKind::kBitstringAugmented},
       {"mc-wah", IndexKind::kBitmapMultiComponent},
       {"mc", IndexKind::kBitmapMultiComponent},
       {"hier-wah", IndexKind::kBitmapHierarchical},
@@ -119,10 +110,6 @@ Result<std::unique_ptr<IncompleteIndex>> CreateIndex(IndexKind kind,
       return Wrap(VaFile::Build(table, {VaQuantization::kUniform, 0}));
     case IndexKind::kVaPlusFile:
       return Wrap(VaFile::Build(table, {VaQuantization::kEquiDepth, 0}));
-    case IndexKind::kMosaic:
-      return Wrap(MosaicIndex::Build(table));
-    case IndexKind::kBitstringAugmented:
-      return Wrap(BitstringAugmentedIndex::Build(table));
     case IndexKind::kBitmapMultiComponent:
       return Wrap(BitmapIndex::Build(
           table, {BitmapEncoding::kEquality, MissingStrategy::kExtraBitmap,

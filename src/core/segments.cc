@@ -19,9 +19,9 @@ bool IsSegmentIndexKind(IndexKind kind) {
     case IndexKind::kBitmapHierarchical:
       return true;
     default:
-      // Scan has no payload; VA/Mosaic/Bitstring consult the table at query
-      // time, so they cannot outlive the transient local copy a segment is
-      // built from.
+      // Scan has no payload; the VA-files consult the table at query time,
+      // so they cannot outlive the transient local copy a segment is built
+      // from.
       return false;
   }
 }

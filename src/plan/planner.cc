@@ -31,14 +31,12 @@ const IndexKind kPointPreference[] = {
     IndexKind::kBitmapInterval,  IndexKind::kBitmapBitSliced,
     IndexKind::kBitmapMultiComponent, IndexKind::kBitmapHierarchical,
     IndexKind::kVaFile,          IndexKind::kVaPlusFile,
-    IndexKind::kMosaic,          IndexKind::kBitstringAugmented,
     IndexKind::kSequentialScan};
 const IndexKind kRangePreference[] = {
     IndexKind::kBitmapRange,     IndexKind::kBitmapInterval,
     IndexKind::kBitmapHierarchical, IndexKind::kBitmapMultiComponent,
     IndexKind::kBitmapEquality,  IndexKind::kBitmapBitSliced,
     IndexKind::kVaFile,          IndexKind::kVaPlusFile,
-    IndexKind::kMosaic,          IndexKind::kBitstringAugmented,
     IndexKind::kSequentialScan};
 
 int PreferenceRank(IndexKind kind, bool is_point) {
@@ -144,10 +142,7 @@ double HierarchicalProbes(uint64_t lo, uint64_t hi) {
 /// Predicted words touched when `kind` serves one conjunctive term list.
 /// Bitmap kinds pay (bitvector accesses) x (words per full bitvector); the
 /// VA-file pays the packed approximation scan plus selectivity-scaled exact
-/// refinement; the scan pays one cell read per row per dimension. The
-/// tree-based baselines are modeled as constant fractions of the scan: good
-/// enough to rank them between the VA-file and no index at all, which is
-/// where the paper's measurements put them.
+/// refinement; the scan pays one cell read per row per dimension.
 double KindCost(const internal::SnapshotState& state, IndexKind kind,
                 const std::vector<QueryTerm>& terms,
                 MissingSemantics semantics, double estimated_selectivity) {
@@ -238,10 +233,6 @@ double KindCost(const internal::SnapshotState& state, IndexKind kind,
       }
       return n * bits / 64.0 + estimated_selectivity * scan_cost;
     }
-    case IndexKind::kMosaic:
-      return 0.40 * scan_cost;
-    case IndexKind::kBitstringAugmented:
-      return 0.45 * scan_cost;
     case IndexKind::kSequentialScan:
       return scan_cost;
   }

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "baselines/mosaic.h"
 #include "bitmap/bitmap_index.h"
 #include "common/io.h"
 #include "storage/checksum.h"
@@ -640,6 +639,16 @@ Result<OpenedStore> OpenStore(const std::string& dir,
   }
   for (uint64_t i = 0; i < num_indexes; ++i) {
     INCDB_ASSIGN_OR_RETURN(uint8_t kind_byte, catalog.ReadU8());
+    // Kind bytes 7 and 8 are retired (see IndexKind): name the kind rather
+    // than calling a store written before its removal corrupt.
+    if (kind_byte == 7 || kind_byte == 8) {
+      return Status::NotSupported(
+          "'" + catalog_path + "': holds a " +
+          (kind_byte == 7 ? "MOSAIC" : "bitstring-augmented R-tree") +
+          " index, a kind that is no longer served; to recover the store, "
+          "open it with an earlier build that still serves that kind, drop "
+          "the index (Database::DropIndex) and save it");
+    }
     if (kind_byte > static_cast<uint8_t>(IndexKind::kBitmapHierarchical) ||
         kind_byte == static_cast<uint8_t>(IndexKind::kSequentialScan)) {
       return Status::IOError("'" + catalog_path +
@@ -672,17 +681,6 @@ Result<OpenedStore> OpenStore(const std::string& dir,
             entry.index, ReadVaFile(catalog, *mapping, kind, *store.table));
         break;
       }
-      case IndexKind::kMosaic: {
-        INCDB_ASSIGN_OR_RETURN(MosaicIndex mosaic,
-                               MosaicIndex::LoadFrom(catalog, num_attrs));
-        entry.index = std::make_shared<MosaicIndex>(std::move(mosaic));
-        break;
-      }
-      case IndexKind::kBitstringAugmented:
-        // Persisted as a marker only; the caller rebuilds it over the
-        // mapped table.
-        store.rebuild_kinds.push_back(kind);
-        continue;
       case IndexKind::kSequentialScan:
         return Status::Internal("unreachable: scan kind rejected above");
     }

@@ -41,10 +41,8 @@ struct SegmentPersistCache {
 /// absent). Persists the table's visible rows, the deletion mask,
 /// per-attribute missing counts, and every registered index: the bitmap
 /// family and the VA-file family in zero-copy wire form (their bulk arrays
-/// land in the data segment and are served back by mmap), MOSAIC as sorted
-/// entry lists, and the bitstring-augmented baseline as a rebuild-on-open
-/// marker (its R-tree has no stable wire form). Layout in format.h;
-/// invariants in docs/STORAGE.md.
+/// land in the data segment and are served back by mmap). Layout in
+/// format.h; invariants in docs/STORAGE.md.
 ///
 /// Saving over an existing store is crash-safe and atomic: payload files
 /// are written under a fresh generation (never truncating what an existing

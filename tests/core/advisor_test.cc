@@ -121,20 +121,6 @@ TEST(AdvisorTest, TightMemoryBudgetFallsBackToSmallIndexes) {
   }
 }
 
-TEST(AdvisorTest, BitstringAugmentedCostExplodesWithDims) {
-  const Table table = GenerateTable(UniformSpec(5000, 10, 0.2, 12, 935)).value();
-  const IndexAdvisor advisor(table);
-  WorkloadProfile low;
-  low.dims = 2;
-  WorkloadProfile high;
-  high.dims = 10;
-  const double cost_low =
-      advisor.Estimate(IndexKind::kBitstringAugmented, low).query_cost;
-  const double cost_high =
-      advisor.Estimate(IndexKind::kBitstringAugmented, high).query_cost;
-  EXPECT_GT(cost_high, 50.0 * cost_low);  // ~2^8 growth expected
-}
-
 // End-to-end sanity: for a range-heavy workload the advisor's top bitmap
 // pick must actually beat the scan, measured.
 TEST(AdvisorTest, RecommendationBeatsScanInPractice) {

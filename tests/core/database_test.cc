@@ -70,7 +70,6 @@ TEST(DatabaseTest, InsertKeepsIndexesInSync) {
   Database db = MakeSmallDb();
   ASSERT_TRUE(db.BuildIndex(IndexKind::kBitmapEquality).ok());
   ASSERT_TRUE(db.BuildIndex(IndexKind::kVaFile).ok());
-  ASSERT_TRUE(db.BuildIndex(IndexKind::kMosaic).ok());
   ASSERT_TRUE(db.Insert({2, 2}).ok());
   ASSERT_TRUE(db.Insert({kMissingValue, kMissingValue}).ok());
   EXPECT_EQ(db.num_rows(), 6u);

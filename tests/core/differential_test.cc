@@ -5,10 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "../baselines/test_indexes.h"
 #include "common/rng.h"
 #include "core/executor.h"
 #include "core/expr_executor.h"
-#include "core/index_factory.h"
 #include "query/workload.h"
 #include "table/generator.h"
 
@@ -77,11 +77,11 @@ TEST_P(DifferentialTest, EverythingAgreesWithOracle) {
   Rng rng(seed);
   Table table = GenerateTable(RandomSpec(rng, seed)).value();
 
-  const IndexKind kinds[] = {
-      IndexKind::kBitmapEquality,       IndexKind::kBitmapRange,
-      IndexKind::kBitmapInterval,       IndexKind::kBitmapBitSliced,
-      IndexKind::kBitmapMultiComponent, IndexKind::kBitmapHierarchical,
-      IndexKind::kVaFile,               IndexKind::kMosaic};
+  const std::vector<TestIndex> builders = WithBaselines(
+      {IndexKind::kBitmapEquality, IndexKind::kBitmapRange,
+       IndexKind::kBitmapInterval, IndexKind::kBitmapBitSliced,
+       IndexKind::kBitmapMultiComponent, IndexKind::kBitmapHierarchical,
+       IndexKind::kVaFile});
   std::vector<std::unique_ptr<IncompleteIndex>> indexes;
   for (int round = 0; round < 3; ++round) {
     // Mutate: a burst of appends to the table, then rebuild every index
@@ -91,9 +91,9 @@ TEST_P(DifferentialTest, EverythingAgreesWithOracle) {
       ASSERT_TRUE(table.AppendRow(RandomRow(rng, table)).ok());
     }
     indexes.clear();
-    for (IndexKind kind : kinds) {
-      auto index = CreateIndex(kind, table);
-      ASSERT_TRUE(index.ok()) << IndexKindToString(kind);
+    for (const TestIndex& builder : builders) {
+      auto index = builder.build(table);
+      ASSERT_TRUE(index.ok()) << builder.name;
       indexes.push_back(std::move(index).value());
     }
 

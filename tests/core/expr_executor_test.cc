@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "../baselines/test_indexes.h"
 #include "common/rng.h"
-#include "core/index_factory.h"
 #include "table/generator.h"
 
 namespace incdb {
@@ -33,12 +33,11 @@ QueryExpr RandomExpr(Rng& rng, const Table& table, int depth) {
                    : QueryExpr::MakeOr(std::move(children));
 }
 
-class ExprExecutorTest : public ::testing::TestWithParam<IndexKind> {};
+class ExprExecutorTest : public ::testing::TestWithParam<TestIndex> {};
 
 TEST_P(ExprExecutorTest, RandomTreesAgreeWithKleeneOracle) {
-  const IndexKind kind = GetParam();
   const Table table = GenerateTable(UniformSpec(800, 8, 0.3, 5, 601)).value();
-  const auto index = CreateIndex(kind, table).value();
+  const auto index = GetParam().build(table).value();
   Rng rng(601);
   for (int trial = 0; trial < 30; ++trial) {
     const QueryExpr expr = RandomExpr(rng, table, 3);
@@ -50,7 +49,7 @@ TEST_P(ExprExecutorTest, RandomTreesAgreeWithKleeneOracle) {
       ASSERT_TRUE(via_index.ok()) << via_index.status().ToString();
       ASSERT_TRUE(via_scan.ok());
       EXPECT_TRUE(via_index.value() == via_scan.value())
-          << IndexKindToString(kind) << " on " << expr.ToString() << " ["
+          << index->Name() << " on " << expr.ToString() << " ["
           << MissingSemanticsToString(semantics) << "]";
     }
   }
@@ -58,9 +57,10 @@ TEST_P(ExprExecutorTest, RandomTreesAgreeWithKleeneOracle) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, ExprExecutorTest,
-    ::testing::Values(IndexKind::kSequentialScan, IndexKind::kBitmapEquality,
-                      IndexKind::kBitmapRange, IndexKind::kBitmapInterval,
-                      IndexKind::kVaFile, IndexKind::kMosaic));
+    ::testing::ValuesIn(WithBaselines(
+        {IndexKind::kSequentialScan, IndexKind::kBitmapEquality,
+         IndexKind::kBitmapRange, IndexKind::kBitmapInterval,
+         IndexKind::kVaFile})));
 
 TEST(ExprExecutorBasicsTest, PossibleIsSupersetOfCertain) {
   const Table table = GenerateTable(UniformSpec(500, 6, 0.4, 4, 603)).value();

@@ -1,12 +1,13 @@
-// Cross-module integration: every index kind, over datasets spanning the
-// paper's parameter space (including a census-like skewed slice), must
-// produce byte-identical results to the sequential-scan oracle under both
-// query semantics — the system-level statement of DESIGN.md invariant 1.
+// Cross-module integration: every index kind and baseline, over datasets
+// spanning the paper's parameter space (including a census-like skewed
+// slice), must produce byte-identical results to the sequential-scan oracle
+// under both query semantics — the system-level statement of DESIGN.md
+// invariant 1.
 
 #include <gtest/gtest.h>
 
+#include "../baselines/test_indexes.h"
 #include "core/executor.h"
-#include "core/index_factory.h"
 #include "query/workload.h"
 #include "table/generator.h"
 
@@ -14,7 +15,7 @@ namespace incdb {
 namespace {
 
 struct IntegrationCase {
-  IndexKind kind;
+  TestIndex index;
   MissingSemantics semantics;
 };
 
@@ -22,9 +23,9 @@ class AllIndexesOracleTest : public ::testing::TestWithParam<IntegrationCase> {
 };
 
 TEST_P(AllIndexesOracleTest, UniformDataset) {
-  const auto& [kind, semantics] = GetParam();
+  const auto& [builder, semantics] = GetParam();
   const Table table = GenerateTable(UniformSpec(1200, 12, 0.3, 5, 101)).value();
-  const auto index = CreateIndex(kind, table).value();
+  const auto index = builder.build(table).value();
   WorkloadParams params;
   params.num_queries = 20;
   params.dims = 3;
@@ -36,7 +37,7 @@ TEST_P(AllIndexesOracleTest, UniformDataset) {
 }
 
 TEST_P(AllIndexesOracleTest, MixedCardinalitiesAndMissingRates) {
-  const auto& [kind, semantics] = GetParam();
+  const auto& [builder, semantics] = GetParam();
   DatasetSpec spec;
   spec.num_rows = 800;
   spec.seed = 103;
@@ -46,7 +47,7 @@ TEST_P(AllIndexesOracleTest, MixedCardinalitiesAndMissingRates) {
       {"wide", 101, 0.1, 0.0},  {"mostly_missing", 9, 0.9, 0.0},
   };
   const Table table = GenerateTable(spec).value();
-  const auto index = CreateIndex(kind, table).value();
+  const auto index = builder.build(table).value();
   WorkloadParams params;
   params.num_queries = 25;
   params.dims = 4;
@@ -60,15 +61,14 @@ TEST_P(AllIndexesOracleTest, MixedCardinalitiesAndMissingRates) {
 
 std::vector<IntegrationCase> AllCases() {
   std::vector<IntegrationCase> cases;
-  for (IndexKind kind :
-       {IndexKind::kSequentialScan, IndexKind::kBitmapEquality,
-        IndexKind::kBitmapRange, IndexKind::kBitmapInterval,
-        IndexKind::kBitmapBitSliced, IndexKind::kVaFile,
-        IndexKind::kVaPlusFile, IndexKind::kMosaic,
-        IndexKind::kBitstringAugmented}) {
+  for (const TestIndex& index : WithBaselines(
+           {IndexKind::kSequentialScan, IndexKind::kBitmapEquality,
+            IndexKind::kBitmapRange, IndexKind::kBitmapInterval,
+            IndexKind::kBitmapBitSliced, IndexKind::kVaFile,
+            IndexKind::kVaPlusFile})) {
     for (MissingSemantics semantics :
          {MissingSemantics::kMatch, MissingSemantics::kNoMatch}) {
-      cases.push_back({kind, semantics});
+      cases.push_back({index, semantics});
     }
   }
   return cases;
@@ -138,12 +138,11 @@ TEST(WorkedExampleIntegrationTest, AllFamiliesAgree) {
     q.semantics = semantics;
     std::vector<uint32_t> reference;
     bool first = true;
-    for (IndexKind kind :
-         {IndexKind::kSequentialScan, IndexKind::kBitmapEquality,
-          IndexKind::kBitmapRange, IndexKind::kBitmapInterval,
-        IndexKind::kVaFile, IndexKind::kVaPlusFile,
-          IndexKind::kMosaic, IndexKind::kBitstringAugmented}) {
-      const auto index = CreateIndex(kind, table).value();
+    for (const TestIndex& builder : WithBaselines(
+             {IndexKind::kSequentialScan, IndexKind::kBitmapEquality,
+              IndexKind::kBitmapRange, IndexKind::kBitmapInterval,
+              IndexKind::kVaFile, IndexKind::kVaPlusFile})) {
+      const auto index = builder.build(table).value();
       const auto result = index->Execute(q);
       ASSERT_TRUE(result.ok()) << index->Name();
       if (first) {

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/index_factory.h"
+#include "../baselines/test_indexes.h"
 #include "query/workload.h"
 #include "table/generator.h"
 
@@ -31,12 +31,11 @@ BitVector ExpectedExtraRows(const Table& table, const RangeQuery& query) {
   return extra;
 }
 
-class SemanticsAlgebraTest : public ::testing::TestWithParam<IndexKind> {};
+class SemanticsAlgebraTest : public ::testing::TestWithParam<TestIndex> {};
 
 TEST_P(SemanticsAlgebraTest, MatchEqualsNoMatchPlusMissingMatches) {
-  const IndexKind kind = GetParam();
   const Table table = GenerateTable(UniformSpec(1000, 9, 0.35, 5, 977)).value();
-  const auto index = CreateIndex(kind, table).value();
+  const auto index = GetParam().build(table).value();
   WorkloadParams params;
   params.num_queries = 20;
   params.dims = 3;
@@ -58,11 +57,11 @@ TEST_P(SemanticsAlgebraTest, MatchEqualsNoMatchPlusMissingMatches) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, SemanticsAlgebraTest,
-    ::testing::Values(IndexKind::kSequentialScan, IndexKind::kBitmapEquality,
-                      IndexKind::kBitmapRange, IndexKind::kBitmapInterval,
-                      IndexKind::kBitmapBitSliced, IndexKind::kVaFile,
-                      IndexKind::kVaPlusFile, IndexKind::kMosaic,
-                      IndexKind::kBitstringAugmented));
+    ::testing::ValuesIn(WithBaselines(
+        {IndexKind::kSequentialScan, IndexKind::kBitmapEquality,
+         IndexKind::kBitmapRange, IndexKind::kBitmapInterval,
+         IndexKind::kBitmapBitSliced, IndexKind::kVaFile,
+         IndexKind::kVaPlusFile})));
 
 }  // namespace
 }  // namespace incdb

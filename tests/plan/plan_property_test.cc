@@ -1,8 +1,9 @@
 // Plan-vs-oracle property suite: every query shape lowered by the planner
 // must agree exactly with the row-level oracle (RowMatches / ExprMatches)
-// across all ten buildable index kinds and both missing-data semantics —
-// bare-index plans first, then full snapshot plans with appended tails,
-// deletions, count-only and parallel execution layered on.
+// across both missing-data semantics — bare-index plans over all eight
+// buildable index kinds and the two prior-work baselines first, then full
+// snapshot plans over the eight kinds with appended tails, deletions,
+// count-only and parallel execution layered on.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +12,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "../baselines/test_indexes.h"
 #include "core/database.h"
 #include "core/index_factory.h"
 #include "core/segments.h"
@@ -25,12 +28,11 @@ namespace incdb {
 namespace plan {
 namespace {
 
-constexpr IndexKind kBuildableKinds[] = {
+const std::vector<IndexKind> kBuildableKinds = {
     IndexKind::kBitmapEquality,       IndexKind::kBitmapRange,
     IndexKind::kBitmapInterval,       IndexKind::kBitmapBitSliced,
     IndexKind::kBitmapMultiComponent, IndexKind::kBitmapHierarchical,
     IndexKind::kVaFile,               IndexKind::kVaPlusFile,
-    IndexKind::kMosaic,               IndexKind::kBitstringAugmented,
 };
 
 // Conjunctive fixtures over three attributes with cardinality 6: point,
@@ -82,11 +84,20 @@ std::vector<uint32_t> OracleExpr(const Table& table, const QueryExpr& expr,
   return rows;
 }
 
-class PlanPropertyTest : public ::testing::TestWithParam<IndexKind> {};
+// Test names: the index name with '-', '+' and ' ' as '_'.
+std::string ParamName(std::string_view name) {
+  std::string param(name);
+  for (char& c : param) {
+    if (c == '-' || c == '+' || c == ' ') c = '_';
+  }
+  return param;
+}
+
+class PlanPropertyTest : public ::testing::TestWithParam<TestIndex> {};
 
 TEST_P(PlanPropertyTest, BareRangePlansAgreeWithOracle) {
   const Table table = GenerateTable(UniformSpec(400, 6, 0.25, 3, 611)).value();
-  const auto index = CreateIndex(GetParam(), table).value();
+  const auto index = GetParam().build(table).value();
   for (MissingSemantics semantics :
        {MissingSemantics::kMatch, MissingSemantics::kNoMatch}) {
     for (const std::vector<QueryTerm>& terms : TermFixtures()) {
@@ -106,7 +117,7 @@ TEST_P(PlanPropertyTest, BareRangePlansAgreeWithOracle) {
 
 TEST_P(PlanPropertyTest, BareExpressionPlansAgreeWithOracle) {
   const Table table = GenerateTable(UniformSpec(400, 6, 0.25, 3, 613)).value();
-  const auto index = CreateIndex(GetParam(), table).value();
+  const auto index = GetParam().build(table).value();
   for (MissingSemantics semantics :
        {MissingSemantics::kMatch, MissingSemantics::kNoMatch}) {
     for (const QueryExpr& expr : ExprFixtures()) {
@@ -212,13 +223,19 @@ void ExpectRunsAgreeWithOracle(const Database& db) {
   }
 }
 
+// Snapshot plans go through Database::BuildIndex, so they cover the served
+// kinds only.
+class SnapshotPlanPropertyTest : public ::testing::TestWithParam<IndexKind> {
+};
+
 // End-to-end through Database::Run: index + appended tail (delta scan) +
 // deletions, under serial, parallel, and count-only execution. The tails
 // are shaped for the scan's word kernel: each has an odd length, all but
 // the segmented reopen start mid-word, and between them they cross 64-row
 // words, a column heap-block boundary, a reopened store's borrowed cells
 // onto the heap, and a morsel boundary.
-TEST_P(PlanPropertyTest, SnapshotPlansAgreeWithOracleUnderDeltaAndDeletes) {
+TEST_P(SnapshotPlanPropertyTest,
+       SnapshotPlansAgreeWithOracleUnderDeltaAndDeletes) {
   {
     SCOPED_TRACE("25-row tail over rows [300, 325)");
     Database db = IndexedDatabase(300, 617, GetParam());
@@ -276,13 +293,16 @@ TEST_P(PlanPropertyTest, SnapshotPlansAgreeWithOracleUnderDeltaAndDeletes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllKinds, PlanPropertyTest, ::testing::ValuesIn(kBuildableKinds),
+    AllKinds, PlanPropertyTest,
+    ::testing::ValuesIn(WithBaselines(kBuildableKinds)),
+    [](const ::testing::TestParamInfo<TestIndex>& info) {
+      return ParamName(info.param.name);
+    });
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, SnapshotPlanPropertyTest, ::testing::ValuesIn(kBuildableKinds),
     [](const ::testing::TestParamInfo<IndexKind>& info) {
-      std::string name(IndexKindToString(info.param));
-      for (char& c : name) {
-        if (c == '-' || c == '+' || c == ' ') c = '_';
-      }
-      return name;
+      return ParamName(IndexKindToString(info.param));
     });
 
 }  // namespace

@@ -205,5 +205,73 @@ TEST_F(StorageCorruptionTest, UnverifiedOpenRejectsHugeVaFileLengths) {
   Restore(catalog);
 }
 
+// Kind bytes 7 and 8 were the MOSAIC and bitstring-augmented R-tree
+// baselines. A store that still holds one must fail to open with a Status
+// naming the removed kind, not as a corrupted tag and never by crashing.
+class RetiredIndexKindTest
+    : public TempStoreTest<::testing::TestWithParam<int>> {};
+
+TEST_P(RetiredIndexKindTest, OpenNamesTheRemovedKind) {
+  const Table table = GenerateTable(CorruptionSpec()).value();
+  const uint64_t rows = table.num_rows();
+  Database db = std::move(Database::FromTable(table).value());
+  ASSERT_TRUE(db.BuildIndex(IndexKind::kBitmapEquality).ok());
+  const std::string dir = StoreDir("retired");
+  ASSERT_TRUE(db.Save(dir).ok());
+
+  // The registry record is u64 index count, u8 kind, u64 covered rows.
+  std::ostringstream record_stream;
+  BinaryWriter record(record_stream);
+  record.WriteU64(1);
+  record.WriteU8(static_cast<uint8_t>(IndexKind::kBitmapEquality));
+  record.WriteU64(rows);
+  const std::string catalog_file = dir + "/" + storage::CatalogFileName(1);
+  std::string catalog = ReadFile(catalog_file);
+  const size_t at = catalog.find(record_stream.str());
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(catalog.find(record_stream.str(), at + 1), std::string::npos);
+  const uint32_t old_crc = storage::Crc32(catalog.data(), catalog.size());
+  catalog[at + sizeof(uint64_t)] = static_cast<char>(GetParam());
+  const uint32_t new_crc = storage::Crc32(catalog.data(), catalog.size());
+  WriteFile(catalog_file, catalog);
+
+  // Re-sign: the catalog is one section, so its CRC sits once in the
+  // manifest's section table; then the manifest's own trailing CRC.
+  const auto le32 = [](uint32_t v) {
+    std::string bytes(4, '\0');
+    for (int b = 0; b < 4; ++b) {
+      bytes[static_cast<size_t>(b)] = static_cast<char>((v >> (8 * b)) & 0xFF);
+    }
+    return bytes;
+  };
+  const std::string manifest_file = dir + "/" + storage::kManifestFile;
+  std::string manifest = ReadFile(manifest_file);
+  const size_t body = manifest.size() - 4;
+  const std::string table_bytes = manifest.substr(0, body);
+  const size_t crc_at = table_bytes.find(le32(old_crc));
+  ASSERT_NE(crc_at, std::string::npos);
+  ASSERT_EQ(table_bytes.find(le32(old_crc), crc_at + 1), std::string::npos);
+  manifest.replace(crc_at, 4, le32(new_crc));
+  manifest.replace(body, 4, le32(storage::Crc32(manifest.data(), body)));
+  WriteFile(manifest_file, manifest);
+
+  const char* removed = GetParam() == 7 ? "MOSAIC" : "bitstring-augmented";
+  for (bool verify : {true, false}) {
+    const auto opened = Database::Open(dir, verify);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kNotSupported);
+    const std::string message = opened.status().ToString();
+    EXPECT_NE(message.find(removed), std::string::npos) << message;
+    EXPECT_NE(message.find("no longer served"), std::string::npos) << message;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(MosaicAndBitstring, RetiredIndexKindTest,
+                         ::testing::Values(7, 8),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return info.param == 7 ? std::string("MOSAIC")
+                                                  : std::string("Bitstring");
+                         });
+
 }  // namespace
 }  // namespace incdb

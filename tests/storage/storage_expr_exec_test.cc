@@ -139,7 +139,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(IndexKind::kBitmapEquality, IndexKind::kBitmapRange,
                       IndexKind::kBitmapInterval, IndexKind::kBitmapBitSliced,
                       IndexKind::kVaFile, IndexKind::kVaPlusFile,
-                      IndexKind::kMosaic, IndexKind::kBitstringAugmented));
+                      IndexKind::kBitmapMultiComponent,
+                      IndexKind::kBitmapHierarchical));
 
 }  // namespace
 }  // namespace incdb

@@ -107,8 +107,7 @@ INSTANTIATE_TEST_SUITE_P(
                       IndexKind::kBitmapInterval, IndexKind::kBitmapBitSliced,
                       IndexKind::kBitmapMultiComponent,
                       IndexKind::kBitmapHierarchical,
-                      IndexKind::kVaFile, IndexKind::kVaPlusFile,
-                      IndexKind::kMosaic, IndexKind::kBitstringAugmented));
+                      IndexKind::kVaFile, IndexKind::kVaPlusFile));
 
 class StorageRoundTrip : public TempStoreTest<> {};
 
@@ -117,8 +116,7 @@ TEST_F(StorageRoundTrip, AllIndexesAtOnce) {
   for (IndexKind kind :
        {IndexKind::kBitmapEquality, IndexKind::kBitmapRange,
         IndexKind::kBitmapMultiComponent, IndexKind::kBitmapHierarchical,
-        IndexKind::kVaFile, IndexKind::kMosaic,
-        IndexKind::kBitstringAugmented}) {
+        IndexKind::kVaFile}) {
     ASSERT_TRUE(db.BuildIndex(kind).ok());
   }
   const std::string dir = StoreDir("all");

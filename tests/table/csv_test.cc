@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "table/generator.h"
 
@@ -13,15 +15,16 @@ namespace {
 class CsvTest : public ::testing::Test {
  protected:
   void TearDown() override {
-    if (!path_.empty()) std::remove(path_.c_str());
+    for (const std::string& path : paths_) std::remove(path.c_str());
   }
 
+  // Every path handed out is removed at TearDown.
   std::string TempPath(const std::string& name) {
-    path_ = ::testing::TempDir() + "/" + name;
-    return path_;
+    paths_.push_back(::testing::TempDir() + "/" + name);
+    return paths_.back();
   }
 
-  std::string path_;
+  std::vector<std::string> paths_;
 };
 
 TEST_F(CsvTest, RoundTrip) {

@@ -3,7 +3,8 @@
 // Usage:
 //   incdb_serverd --open=DIR  [--host=H] [--port=P] [--workers=N]
 //                 [--queue=N]
-//   incdb_serverd --csv=FILE [--index=bee|bre|bie|bsl|va|va+|scan] [...]
+//   incdb_serverd --csv=FILE [--index=bee|bre|bie|bsl|mc|hier|va|va+|scan]
+//                 [...]
 //
 // Loads the database (a persisted store directory or a CSV), binds, and
 // serves the versioned wire protocol (docs/SERVING.md) until SIGTERM or

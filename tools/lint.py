@@ -89,22 +89,20 @@ ALLOWED_HEADER_DEPS = {
     "baselines": {"common", "simd", "bitvector", "btree", "rtree", "table",
                   "query"},
     "storage": {
-        "common", "simd", "bitvector", "compression", "btree", "rtree",
-        "table", "query", "bitmap", "vafile", "baselines",
+        "common", "simd", "bitvector", "compression", "table", "query",
+        "bitmap", "vafile",
     },
     "core": {
-        "common", "simd", "bitvector", "compression", "btree", "rtree",
-        "table", "query", "stats", "bitmap", "vafile", "baselines", "storage",
+        "common", "simd", "bitvector", "compression", "table", "query",
+        "stats", "bitmap", "vafile", "storage",
     },
     "plan": {
-        "common", "simd", "bitvector", "compression", "btree", "rtree",
-        "table", "query", "stats", "bitmap", "vafile", "baselines", "storage",
-        "core",
+        "common", "simd", "bitvector", "compression", "table", "query",
+        "stats", "bitmap", "vafile", "storage", "core",
     },
     "server": {
-        "common", "simd", "bitvector", "compression", "btree", "rtree",
-        "table", "query", "stats", "bitmap", "vafile", "baselines", "storage",
-        "core", "plan",
+        "common", "simd", "bitvector", "compression", "table", "query",
+        "stats", "bitmap", "vafile", "storage", "core", "plan",
     },
 }
 

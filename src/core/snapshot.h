@@ -128,7 +128,7 @@ class Snapshot {
 /// plus a validated interval.
 ///
 /// Cost-based routing and execution against a snapshot live in the plan
-/// layer: plan/planner.h (RouteRangeQuery, RouteExpression, RunOnSnapshot).
+/// layer: plan/planner.h (PlanRequest, RunOnSnapshot).
 Result<QueryTerm> ResolveNamedTerm(const Table& table, const NamedTerm& term);
 
 }  // namespace incdb

@@ -9,8 +9,6 @@ std::string_view OpKindToString(OpKind kind) {
   switch (kind) {
     case OpKind::kIndexProbe:
       return "IndexProbe";
-    case OpKind::kSegmentProbe:
-      return "SegmentProbe";
     case OpKind::kDeltaScan:
       return "DeltaScan";
     case OpKind::kSeqScanFallback:

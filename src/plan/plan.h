@@ -23,22 +23,17 @@ namespace plan {
 /// the root stitches the delta scan, strips deleted rows, and shapes the
 /// final QueryResult.
 enum class OpKind {
-  /// Executes a (possibly multi-term) RangeQuery natively on one index.
-  /// The probe's semantics field carries the *effective* semantics — the
-  /// requested semantics flipped once per enclosing kNot — so a single
-  /// component (possible or certain) is computed per leaf instead of the
-  /// pair.
+  /// Executes a (possibly multi-term) RangeQuery natively on each of the
+  /// node's parts (ProbePart): one part in the global row space for a
+  /// registry or bare-index probe, one per sealed segment for a segmented
+  /// store (docs/SEGMENTS.md). Each unpruned part is one leaf task — for a
+  /// segmented probe the segment grid is the morsel grid — and local
+  /// results are spliced in part order, so serial and parallel runs are
+  /// bit-identical. The probe's semantics field carries the *effective*
+  /// semantics — the requested semantics flipped once per enclosing kNot —
+  /// so a single component (possible or certain) is computed per leaf
+  /// instead of the pair.
   kIndexProbe,
-  /// Probes every unpruned sealed segment's own index (docs/SEGMENTS.md)
-  /// with the node's RangeQuery and splices the local results into one
-  /// bitvector over [0, end_row). One leaf task per unpruned segment —
-  /// that is the morsel grid — with per-segment output slots merged in
-  /// segment order, so serial and parallel runs are bit-identical. A
-  /// zone-map-pruned segment provably contains no matching row for the
-  /// leaf's effective semantics, so its zero bits are the exact leaf value
-  /// (safe under enclosing kNot). Carries the same effective-semantics
-  /// contract as kIndexProbe.
-  kSegmentProbe,
   /// Word-kernel scan (MatchWords / ExprMatchWords) over the appended tail
   /// [begin_row, end_row) that the serving index does not cover. Always a direct child of the sink (a
   /// partial-range scan must never sit under a kNot).
@@ -76,6 +71,21 @@ struct OpRealized {
   QueryStats stats;
 };
 
+/// One index a kIndexProbe runs on. A registry or bare-index probe has one
+/// part whose index covers the global row space (`segment` null); a
+/// segmented probe has one part per sealed segment, whose index covers the
+/// segment's local row space [0, segment->num_rows).
+struct ProbePart {
+  const IncompleteIndex* index = nullptr;
+  const internal::Segment* segment = nullptr;
+  /// Planner's zone-map verdict: the segment provably holds no row matching
+  /// the probe's effective semantics, so it is never probed and its zero
+  /// bits stand in for the exact leaf value (safe under enclosing kNot).
+  bool pruned = false;
+  /// Executor working state: this part's result in its own row space.
+  BitVector output;
+};
+
 /// One node of a physical plan. Which fields are meaningful depends on
 /// `kind`; the rest stay defaulted. Nodes also hold their executor working
 /// state (`output`, `realized`) — a plan instance is run once.
@@ -84,20 +94,11 @@ struct PlanNode {
   std::vector<std::unique_ptr<PlanNode>> children;
 
   // kIndexProbe
-  const IncompleteIndex* index = nullptr;
+  std::vector<ProbePart> parts;
   RangeQuery probe;
-  /// kIndexProbe under a kCountSink: answer via ExecuteCount, never
-  /// materializing the result bitvector.
+  /// kIndexProbe under a kCountSink: answer by summing each unpruned part's
+  /// ExecuteCount, never materializing the result bitvector.
   bool count_direct = false;
-
-  // kSegmentProbe — probes `probe` on each segment; end_row is the sealed
-  // watermark the node's output covers. count_direct sums per-segment
-  // ExecuteCount under a kCountSink (same contract as the index probe).
-  const internal::SegmentList* segments = nullptr;
-  /// Planner's zone-map verdict per segment (1 = pruned, never probed).
-  std::vector<uint8_t> segment_pruned;
-  /// Executor working state: one local-row-space output per segment.
-  std::vector<BitVector> segment_outputs;
 
   // kDeltaScan / kSeqScanFallback — exactly one predicate form is set.
   const Table* table = nullptr;

@@ -15,19 +15,16 @@ namespace plan {
 
 namespace {
 
-/// One unit of parallel leaf work: a whole index probe, or one morsel of a
-/// scan operator's row range. Tasks never share mutable state — each has
-/// its own stats/status slot, probe tasks own their node's output, and scan
-/// morsels are word-aligned so concurrent Set calls touch disjoint words of
-/// the shared output bitvector.
+/// One unit of parallel leaf work: one part of an index probe, or one
+/// morsel of a scan operator's row range. Tasks never share mutable state —
+/// each has its own stats/status slot, probe tasks own their part's output,
+/// and scan morsels are word-aligned so concurrent Set calls touch disjoint
+/// words of the shared output bitvector.
 struct LeafTask {
   PlanNode* node = nullptr;
+  /// A probe task's part ordinal, or a scan morsel's first row.
   uint64_t begin = 0;
   uint64_t end = 0;
-  bool is_probe = false;
-  /// Segment-probe task: `begin` is the segment ordinal and the task owns
-  /// that segment's private output slot (segment_outputs[begin]).
-  bool is_segment = false;
   QueryStats stats;
   Status status = Status::OK();
 };
@@ -59,31 +56,18 @@ Status CollectTasks(PlanNode* node, uint64_t morsel_rows,
     if (node->count_direct) {
       return Status::Internal("count_direct probe reached the task list");
     }
-    LeafTask task;
-    task.node = node;
-    task.is_probe = true;
-    tasks->push_back(std::move(task));
-    node->realized.morsels = 1;
-    return Status::OK();
-  }
-  if (node->kind == OpKind::kSegmentProbe) {
-    if (node->count_direct) {
-      return Status::Internal("count_direct segment probe reached the tasks");
+    if (node->parts.empty()) {
+      return Status::Internal("index probe carries no parts");
     }
-    if (node->segments == nullptr ||
-        node->segment_pruned.size() != node->segments->segments.size()) {
-      return Status::Internal("segment probe carries no segment list");
-    }
-    // One leaf task per unpruned segment — the segment grid *is* the morsel
-    // grid, so the partitioning is identical for serial and parallel runs.
-    node->segment_outputs.assign(node->segments->segments.size(), BitVector());
+    // One leaf task per unpruned part — for a segmented probe the segment
+    // grid *is* the morsel grid, so the partitioning is identical for
+    // serial and parallel runs.
     uint64_t morsels = 0;
-    for (size_t s = 0; s < node->segments->segments.size(); ++s) {
-      if (node->segment_pruned[s]) continue;
+    for (size_t p = 0; p < node->parts.size(); ++p) {
+      if (node->parts[p].pruned) continue;
       LeafTask task;
       task.node = node;
-      task.begin = s;
-      task.is_segment = true;
+      task.begin = p;
       tasks->push_back(std::move(task));
       ++morsels;
     }
@@ -128,26 +112,17 @@ Status CollectTasks(PlanNode* node, uint64_t morsel_rows,
 void RunTask(LeafTask* task, ThreadRole& phase) INCDB_REQUIRES_SHARED(phase) {
   (void)phase;
   PlanNode& node = *task->node;
-  if (task->is_probe) {
-    auto result = node.index->Execute(node.probe, &task->stats);
+  if (node.kind == OpKind::kIndexProbe) {
+    // The part's result, in the part's own row space, lands in its private
+    // output slot; a segment's is spliced to its global offset in the
+    // combine phase.
+    ProbePart& part = node.parts[task->begin];
+    auto result = part.index->Execute(node.probe, &task->stats);
     if (!result.ok()) {
       task->status = result.status();
       return;
     }
-    node.output = std::move(result).value();
-    return;
-  }
-  if (task->is_segment) {
-    // Probe one sealed segment's own index; the local result (row space
-    // [0, segment rows)) lands in this task's private output slot and is
-    // spliced to its global offset in the combine phase.
-    const internal::Segment& seg = *node.segments->segments[task->begin];
-    auto result = seg.index->Execute(node.probe, &task->stats);
-    if (!result.ok()) {
-      task->status = result.status();
-      return;
-    }
-    node.segment_outputs[task->begin] = std::move(result).value();
+    part.output = std::move(result).value();
     return;
   }
   // Scan morsel: the word kernels (query.h, expr.h) evaluate [begin, end)
@@ -278,37 +253,41 @@ void FinalizeNode(PlanNode* node, const BitVector& out) {
 /// attributes the merge cost to the operator that incurred it.
 Result<BitVector> Combine(PlanNode* node) {
   switch (node->kind) {
-    case OpKind::kIndexProbe:
     case OpKind::kDeltaScan:
     case OpKind::kSeqScanFallback: {
       FinalizeNode(node, node->output);
       return std::move(node->output);
     }
-    case OpKind::kSegmentProbe: {
+    case OpKind::kIndexProbe: {
+      // A global part's result already is the probe's output.
+      if (node->parts.front().segment == nullptr) {
+        BitVector out = std::move(node->parts.front().output);
+        FinalizeNode(node, out);
+        return out;
+      }
       // Splice the per-segment local results to their global row offsets,
       // in segment order — bit-identical regardless of which worker probed
       // which segment. Pruned segments contribute their exact all-zero
       // value for free.
-      BitVector merged(node->end_row);
-      for (size_t s = 0; s < node->segments->segments.size(); ++s) {
-        const internal::Segment& seg = *node->segments->segments[s];
-        if (node->segment_pruned[s]) {
+      BitVector merged(node->parts.back().segment->end_row());
+      for (ProbePart& part : node->parts) {
+        const internal::Segment& seg = *part.segment;
+        if (part.pruned) {
           node->realized.stats.segments_pruned += 1;
           continue;
         }
-        const BitVector& local = node->segment_outputs[s];
-        if (local.size() != seg.num_rows) {
+        if (part.output.size() != seg.num_rows) {
           return Status::Internal(
               "segment " + std::to_string(seg.content_id) + " returned " +
-              std::to_string(local.size()) + " rows, expected " +
+              std::to_string(part.output.size()) + " rows, expected " +
               std::to_string(seg.num_rows));
         }
-        merged.OrAt(local, seg.begin_row);
+        merged.OrAt(part.output, seg.begin_row);
         node->realized.stats.segments_scanned += 1;
         node->realized.stats.bitvector_ops += 1;
-        node->realized.stats.words_touched += local.words().size();
+        node->realized.stats.words_touched += part.output.words().size();
+        part.output = BitVector();
       }
-      node->segment_outputs.clear();
       FinalizeNode(node, merged);
       return merged;
     }
@@ -405,38 +384,22 @@ Result<QueryResult> ExecutePlan(PhysicalPlan* plan,
     return Status::DeadlineExceeded("query deadline expired before execution");
   }
 
-  // Count straight off compressed index storage — no result bitvector.
-  // Segmented plans sum per-segment compressed counts, skipping pruned
+  // Count straight off compressed index storage — no result bitvector. A
+  // segmented probe sums per-segment compressed counts, skipping pruned
   // segments entirely (their count is provably zero).
-  if (main->kind == OpKind::kSegmentProbe && main->count_direct) {
+  if (main->kind == OpKind::kIndexProbe && main->count_direct) {
     out.count = 0;
-    for (size_t s = 0; s < main->segments->segments.size(); ++s) {
-      if (main->segment_pruned[s]) {
+    for (const ProbePart& part : main->parts) {
+      if (part.pruned) {
         main->realized.stats.segments_pruned += 1;
         continue;
       }
-      const internal::Segment& seg = *main->segments->segments[s];
       INCDB_ASSIGN_OR_RETURN(
           const uint64_t local,
-          seg.index->ExecuteCount(main->probe, &main->realized.stats));
+          part.index->ExecuteCount(main->probe, &main->realized.stats));
       out.count += local;
-      main->realized.stats.segments_scanned += 1;
+      if (part.segment != nullptr) main->realized.stats.segments_scanned += 1;
     }
-    main->realized.executed = true;
-    main->realized.output_rows = out.count;
-    main->realized.realized_selectivity =
-        plan->visible_rows == 0
-            ? 0.0
-            : static_cast<double>(out.count) /
-                  static_cast<double>(plan->visible_rows);
-    FinalizeSink(sink, out.count, plan->visible_rows);
-    out.stats = AggregateStats(*sink);
-    return out;
-  }
-  if (main->kind == OpKind::kIndexProbe && main->count_direct) {
-    INCDB_ASSIGN_OR_RETURN(
-        out.count, main->index->ExecuteCount(main->probe,
-                                             &main->realized.stats));
     main->realized.executed = true;
     main->realized.output_rows = out.count;
     main->realized.realized_selectivity =

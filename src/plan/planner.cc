@@ -83,7 +83,7 @@ double EqualityProbes(double width, double slots) {
 }
 
 /// Exact bitmaps-touched count of the multi-component probe tree
-/// (composite_index.cc EvalMixedRadix), computed arithmetically from the
+/// (BitmapIndex::EvalMixedRadix), computed arithmetically from the
 /// slicer's component structure — no dependence on C itself.
 double MixedRadixProbes(const Slicer& slicer, size_t axis, uint64_t lo,
                         uint64_t hi) {
@@ -246,25 +246,30 @@ bool TermsArePoint(const std::vector<QueryTerm>& terms) {
   return true;
 }
 
-/// Predicted global selectivity of a conjunctive term list (paper §5.3),
-/// using the snapshot's actual per-attribute missing rates.
+/// Predicted selectivity of one term (paper §5.3), using the snapshot's
+/// actual missing rate for its attribute.
+double TermSelectivity(const internal::SnapshotState& state,
+                       const QueryTerm& term, MissingSemantics semantics) {
+  const uint32_t cardinality =
+      state.table->schema().attribute(term.attribute).cardinality;
+  const double attribute_selectivity =
+      static_cast<double>(term.interval.Width()) /
+      static_cast<double>(cardinality);
+  const double missing_rate =
+      state.num_rows == 0
+          ? 0.0
+          : static_cast<double>(state.missing_counts[term.attribute]) /
+                static_cast<double>(state.num_rows);
+  return TermMatchProbability(attribute_selectivity, missing_rate, semantics);
+}
+
+/// Predicted global selectivity of a conjunctive term list.
 double TermsSelectivity(const internal::SnapshotState& state,
                         const std::vector<QueryTerm>& terms,
                         MissingSemantics semantics) {
-  const Schema& schema = state.table->schema();
   double selectivity = 1.0;
   for (const QueryTerm& term : terms) {
-    const uint32_t cardinality = schema.attribute(term.attribute).cardinality;
-    const double attribute_selectivity =
-        static_cast<double>(term.interval.Width()) /
-        static_cast<double>(cardinality);
-    const double missing_rate =
-        state.num_rows == 0
-            ? 0.0
-            : static_cast<double>(state.missing_counts[term.attribute]) /
-                  static_cast<double>(state.num_rows);
-    selectivity *=
-        TermMatchProbability(attribute_selectivity, missing_rate, semantics);
+    selectivity *= TermSelectivity(state, term, semantics);
   }
   return selectivity;
 }
@@ -275,10 +280,9 @@ double TermsSelectivity(const internal::SnapshotState& state,
 double ExprSelectivity(const internal::SnapshotState& state,
                        const QueryExpr& expr, MissingSemantics semantics) {
   switch (expr.kind()) {
-    case QueryExpr::Kind::kTerm: {
-      const std::vector<QueryTerm> term = {{expr.attribute(), expr.interval()}};
-      return TermsSelectivity(state, term, semantics);
-    }
+    case QueryExpr::Kind::kTerm:
+      return TermSelectivity(state, {expr.attribute(), expr.interval()},
+                             semantics);
     case QueryExpr::Kind::kAnd: {
       double p = 1.0;
       for (const QueryExpr& child : expr.children()) {
@@ -309,57 +313,81 @@ void CollectLeafTerms(const QueryExpr& expr, std::vector<QueryTerm>* out) {
   }
 }
 
-struct Pick {
-  const internal::SnapshotIndexEntry* entry = nullptr;  // null = scan
+/// The one part of a registry or bare-index probe: the whole index, in the
+/// global row space.
+std::vector<ProbePart> WholeIndex(const IncompleteIndex& index) {
+  std::vector<ProbePart> parts(1);
+  parts[0].index = &index;
+  return parts;
+}
+
+/// Where a request's probes run, with the routing decision that picked it.
+struct Access {
+  /// The parts every index probe of the plan runs on (ProbePart): the
+  /// sealed segments, or one registry index; empty for the scan.
+  std::vector<ProbePart> parts;
+  /// Rows the main tree's output covers; the rest is the delta scan's.
+  uint64_t covered_rows = 0;
   RoutingDecision decision;
 };
 
-/// Ranks every registered index plus the scan by (predicted cost,
-/// preference rank) and returns the winner. Expressions cost the same per
-/// leaf as conjunctive terms: the plan executor computes one Kleene
-/// component per leaf (the effective semantics after NOT parity), never the
-/// (possible, certain) pair.
-Pick PickPlan(const internal::SnapshotState& state,
-              const std::vector<QueryTerm>& terms,
-              MissingSemantics semantics, double estimated_selectivity) {
-  const bool is_point = TermsArePoint(terms);
-  Pick best;
-  best.decision.index_kind = IndexKind::kSequentialScan;
-  best.decision.index_name = "SeqScan";
-  best.decision.is_point_query = is_point;
-  best.decision.estimated_selectivity = estimated_selectivity;
-  best.decision.estimated_cost = KindCost(
-      state, IndexKind::kSequentialScan, terms, semantics,
-      estimated_selectivity);
+/// The sealed segments when there are any: every segment carries its own
+/// index, so the per-segment grid is both the access path and the parallel
+/// morsel grid. Otherwise ranks every registered index plus the scan by
+/// (predicted cost, preference rank) and returns the winner. Expressions
+/// cost the same per leaf as conjunctive terms: the plan executor computes
+/// one Kleene component per leaf (the effective semantics after NOT
+/// parity), never the (possible, certain) pair.
+Access ChooseAccess(const internal::SnapshotState& state, const QueryExpr& expr,
+                    MissingSemantics semantics) {
+  std::vector<QueryTerm> leaves;
+  CollectLeafTerms(expr, &leaves);
+  const bool is_point = TermsArePoint(leaves);
+  const double selectivity = ExprSelectivity(state, expr, semantics);
+  Access access;
+  access.decision.is_point_query = is_point;
+  access.decision.estimated_selectivity = selectivity;
+  if (state.segments != nullptr && !state.segments->segments.empty()) {
+    const internal::SegmentList& segments = *state.segments;
+    for (const auto& segment : segments.segments) {
+      ProbePart part;
+      part.index = segment->index.get();
+      part.segment = segment.get();
+      access.parts.push_back(std::move(part));
+    }
+    access.covered_rows = segments.sealed_rows;
+    access.decision.index_kind = segments.options.index_kind;
+    access.decision.index_name =
+        "SEG[" + segments.segments.front()->index->Name() + "]";
+    access.decision.estimated_cost = KindCost(
+        state, segments.options.index_kind, leaves, semantics, selectivity);
+    return access;
+  }
+  access.covered_rows = state.num_rows;
+  access.decision.index_kind = IndexKind::kSequentialScan;
+  access.decision.index_name = "SeqScan";
+  access.decision.estimated_cost = KindCost(
+      state, IndexKind::kSequentialScan, leaves, semantics, selectivity);
   int best_rank = PreferenceRank(IndexKind::kSequentialScan, is_point);
+  const internal::SnapshotIndexEntry* best = nullptr;
   for (const internal::SnapshotIndexEntry& entry : *state.indexes) {
     const double cost =
-        KindCost(state, entry.kind, terms, semantics, estimated_selectivity);
+        KindCost(state, entry.kind, leaves, semantics, selectivity);
     const int rank = PreferenceRank(entry.kind, is_point);
-    if (cost < best.decision.estimated_cost ||
-        (cost == best.decision.estimated_cost && rank < best_rank)) {
-      best.entry = &entry;
-      best.decision.index_kind = entry.kind;
-      best.decision.index_name = entry.index->Name();
-      best.decision.estimated_cost = cost;
+    if (cost < access.decision.estimated_cost ||
+        (cost == access.decision.estimated_cost && rank < best_rank)) {
+      best = &entry;
+      access.decision.estimated_cost = cost;
       best_rank = rank;
     }
   }
-  return best;
-}
-
-Pick PickForRangeQuery(const internal::SnapshotState& state,
-                       const RangeQuery& query) {
-  return PickPlan(state, query.terms, query.semantics,
-                  TermsSelectivity(state, query.terms, query.semantics));
-}
-
-Pick PickForExpression(const internal::SnapshotState& state,
-                       const QueryExpr& expr, MissingSemantics semantics) {
-  std::vector<QueryTerm> leaves;
-  CollectLeafTerms(expr, &leaves);
-  return PickPlan(state, leaves, semantics,
-                  ExprSelectivity(state, expr, semantics));
+  if (best != nullptr) {
+    access.parts = WholeIndex(*best->index);
+    access.covered_rows = best->covered_rows;
+    access.decision.index_kind = best->kind;
+    access.decision.index_name = best->index->Name();
+  }
+  return access;
 }
 
 MissingSemantics FlipSemantics(MissingSemantics semantics) {
@@ -388,110 +416,82 @@ bool IsPureConjunction(const QueryExpr& expr, std::vector<QueryTerm>* terms) {
   return !terms->empty();
 }
 
+/// One probe over `parts`. Each segment's zone map is consulted here at plan
+/// time: a pruned segment provably holds no row matching the probe's
+/// effective semantics, so the executor never touches it and its zero bits
+/// stand in for the exact leaf value.
 std::unique_ptr<PlanNode> MakeProbe(const internal::SnapshotState* state,
-                                    const IncompleteIndex& index,
+                                    const std::vector<ProbePart>& parts,
                                     RangeQuery query) {
   auto node = std::make_unique<PlanNode>();
   node->kind = OpKind::kIndexProbe;
-  node->index = &index;
+  node->parts = parts;
   node->probe = std::move(query);
-  if (state != nullptr) {
-    node->estimated_selectivity =
-        TermsSelectivity(*state, node->probe.terms, node->probe.semantics);
-  }
-  node->label = "IndexProbe " + index.Name() + " " + node->probe.ToString();
-  return node;
-}
-
-/// Leaf over the segmented store: one kSegmentProbe covering the sealed
-/// prefix [0, sealed_rows), with each segment's zone map consulted here at
-/// plan time. A pruned segment provably holds no row matching the probe's
-/// effective semantics, so the executor never touches it and its zero bits
-/// stand in for the exact leaf value.
-std::unique_ptr<PlanNode> MakeSegmentProbe(
-    const internal::SnapshotState* state,
-    const internal::SegmentList& segments, RangeQuery query) {
-  auto node = std::make_unique<PlanNode>();
-  node->kind = OpKind::kSegmentProbe;
-  node->segments = &segments;
-  node->probe = std::move(query);
-  node->end_row = segments.sealed_rows;
-  node->segment_pruned.reserve(segments.segments.size());
   uint64_t pruned = 0;
-  for (const auto& segment : segments.segments) {
-    const bool skip = internal::SegmentPrunedByZones(*segment, node->probe);
-    node->segment_pruned.push_back(skip ? 1 : 0);
-    if (skip) ++pruned;
+  for (ProbePart& part : node->parts) {
+    part.pruned = part.segment != nullptr &&
+                  internal::SegmentPrunedByZones(*part.segment, node->probe);
+    if (part.pruned) ++pruned;
   }
   if (state != nullptr) {
     node->estimated_selectivity =
         TermsSelectivity(*state, node->probe.terms, node->probe.semantics);
   }
-  node->label = "SegmentProbe " + segments.segments.front()->index->Name() +
-                " " + node->probe.ToString() + " segs=" +
-                std::to_string(segments.segments.size() - pruned) + "/" +
-                std::to_string(segments.segments.size());
+  const std::string name = parts.front().index->Name();
+  if (parts.front().segment == nullptr) {
+    node->label = "IndexProbe " + name + " " + node->probe.ToString();
+  } else {
+    node->label = "SegmentProbe " + name + " " + node->probe.ToString() +
+                  " segs=" + std::to_string(parts.size() - pruned) + "/" +
+                  std::to_string(parts.size());
+  }
   return node;
 }
 
-/// Fraction of segments the probe will actually touch — scales the
+/// Fraction of the probe's parts it will actually touch — scales the
 /// routing cost estimate so EXPLAIN reflects zone-map savings.
 double UnprunedFraction(const PlanNode& probe) {
-  if (probe.segment_pruned.empty()) return 1.0;
   uint64_t unpruned = 0;
-  for (const uint8_t skip : probe.segment_pruned) {
-    if (!skip) ++unpruned;
+  for (const ProbePart& part : probe.parts) {
+    if (!part.pruned) ++unpruned;
   }
   return static_cast<double>(unpruned) /
-         static_cast<double>(probe.segment_pruned.size());
+         static_cast<double>(probe.parts.size());
 }
 
-std::unique_ptr<PlanNode> MakeTermsScan(const internal::SnapshotState* state,
-                                        OpKind kind, const Table& table,
-                                        uint64_t begin, uint64_t end,
-                                        RangeQuery query) {
+/// A scan over the visible rows [begin, num_rows). A terms request keeps
+/// its terms form (the MatchWords kernel); any other scans its expression.
+std::unique_ptr<PlanNode> MakeScan(const internal::SnapshotState& state,
+                                   OpKind kind, uint64_t begin,
+                                   const std::optional<RangeQuery>& terms,
+                                   const QueryExpr& expr,
+                                   MissingSemantics semantics) {
   auto node = std::make_unique<PlanNode>();
   node->kind = kind;
-  node->table = &table;
+  node->table = state.table.get();
   node->begin_row = begin;
-  node->end_row = end;
-  node->scan_query = std::move(query);
-  if (state != nullptr) {
-    node->estimated_selectivity = TermsSelectivity(
-        *state, node->scan_query.terms, node->scan_query.semantics);
+  node->end_row = state.num_rows;
+  std::string predicate;
+  if (terms.has_value()) {
+    node->scan_query = *terms;
+    node->estimated_selectivity =
+        TermsSelectivity(state, terms->terms, terms->semantics);
+    predicate = terms->ToString();
+  } else {
+    node->scan_expr = expr;
+    node->scan_semantics = semantics;
+    node->estimated_selectivity = ExprSelectivity(state, expr, semantics);
+    predicate = "[" + std::string(MissingSemanticsToString(semantics)) +
+                "] " + expr.ToString();
   }
   node->label = std::string(OpKindToString(kind)) + " rows [" +
-                std::to_string(begin) + "," + std::to_string(end) + ") " +
-                node->scan_query.ToString();
-  return node;
-}
-
-std::unique_ptr<PlanNode> MakeExprScan(const internal::SnapshotState* state,
-                                       OpKind kind, const Table& table,
-                                       uint64_t begin, uint64_t end,
-                                       const QueryExpr& expr,
-                                       MissingSemantics semantics) {
-  auto node = std::make_unique<PlanNode>();
-  node->kind = kind;
-  node->table = &table;
-  node->begin_row = begin;
-  node->end_row = end;
-  node->scan_expr = expr;
-  node->scan_semantics = semantics;
-  if (state != nullptr) {
-    node->estimated_selectivity = ExprSelectivity(*state, expr, semantics);
-  }
-  node->label = std::string(OpKindToString(kind)) + " rows [" +
-                std::to_string(begin) + "," + std::to_string(end) + ") [" +
-                std::string(MissingSemanticsToString(semantics)) + "] " +
-                expr.ToString();
+                std::to_string(begin) + "," + std::to_string(state.num_rows) +
+                ") " + predicate;
   return node;
 }
 
 /// Builds one leaf node for a RangeQuery whose semantics field already
-/// carries the effective semantics. LowerExpr is agnostic to the leaf
-/// shape: the registry path plugs in MakeProbe, the segmented path
-/// MakeSegmentProbe.
+/// carries the effective semantics.
 using LeafFactory = std::function<std::unique_ptr<PlanNode>(RangeQuery)>;
 
 /// Lowers a boolean expression onto index probes, computing the single
@@ -560,28 +560,7 @@ Result<std::unique_ptr<PlanNode>> LowerExpr(
   return Status::Internal("unknown expression kind");
 }
 
-std::unique_ptr<PlanNode> MakeSink(const QueryRequest& request,
-                                   const Pick& picked) {
-  auto sink = std::make_unique<PlanNode>();
-  sink->kind =
-      request.count_only ? OpKind::kCountSink : OpKind::kMaterializeSink;
-  sink->estimated_selectivity = picked.decision.estimated_selectivity;
-  sink->label = OpKindToString(sink->kind);
-  return sink;
-}
-
 }  // namespace
-
-RoutingDecision RouteRangeQuery(const Snapshot& snapshot,
-                                const RangeQuery& query) {
-  return PickForRangeQuery(snapshot.state(), query).decision;
-}
-
-RoutingDecision RouteExpression(const Snapshot& snapshot,
-                                const QueryExpr& expr,
-                                MissingSemantics semantics) {
-  return PickForExpression(snapshot.state(), expr, semantics).decision;
-}
 
 Result<PhysicalPlan> PlanRequest(const Snapshot& snapshot,
                                  const QueryRequest& request) {
@@ -595,22 +574,11 @@ Result<PhysicalPlan> PlanRequest(const Snapshot& snapshot,
   INCDB_RETURN_IF_ERROR(request.Validate());
   const internal::SnapshotState& state = snapshot.state();
   const Table& table = *state.table;
-  // Any parallelism degree other than "exactly one thread" makes the
-  // planner keep conjunctions split so leaf probes can run concurrently.
-  const bool parallel = request.parallelism != 1;
-  // A segmented store replaces registry routing outright: every sealed
-  // segment carries its own index, so the per-segment grid is both the
-  // access path and the parallel morsel grid (no And-split needed).
-  const bool segmented =
-      state.segments != nullptr && !state.segments->segments.empty();
 
-  PhysicalPlan plan;
-  plan.state = &state;
-  plan.semantics = request.semantics;
-  plan.count_only = request.count_only;
-  plan.limit = request.limit;
-  plan.visible_rows = state.num_rows;
-
+  // Resolve the predicate. A terms request lowers as its conjunction; only
+  // its scans keep the terms form, for the MatchWords kernel.
+  std::optional<RangeQuery> terms;
+  std::optional<QueryExpr> parsed;
   if (request.shape == QueryRequest::Shape::kTerms) {
     RangeQuery query;
     query.semantics = request.semantics;
@@ -620,89 +588,12 @@ Result<PhysicalPlan> PlanRequest(const Snapshot& snapshot,
       query.terms.push_back(resolved);
     }
     INCDB_RETURN_IF_ERROR(ValidateQuery(query, table));
-    if (segmented) {
-      const internal::SegmentList& segments = *state.segments;
-      std::unique_ptr<PlanNode> probe = MakeSegmentProbe(&state, segments,
-                                                         query);
-      Pick picked;
-      picked.decision.index_kind = segments.options.index_kind;
-      picked.decision.index_name =
-          "SEG[" + segments.segments.front()->index->Name() + "]";
-      picked.decision.is_point_query = TermsArePoint(query.terms);
-      picked.decision.estimated_selectivity =
-          TermsSelectivity(state, query.terms, query.semantics);
-      picked.decision.estimated_cost =
-          KindCost(state, segments.options.index_kind, query.terms,
-                   query.semantics, picked.decision.estimated_selectivity) *
-          UnprunedFraction(*probe);
-      plan.routing = picked.decision;
-      plan.covered_rows = segments.sealed_rows;
-      std::unique_ptr<PlanNode> sink = MakeSink(request, picked);
-      probe->count_direct = request.count_only &&
-                            segments.sealed_rows == state.num_rows &&
-                            state.num_deleted == 0;
-      sink->children.push_back(std::move(probe));
-      if (segments.sealed_rows < state.num_rows) {
-        sink->children.push_back(MakeTermsScan(&state, OpKind::kDeltaScan,
-                                               table, segments.sealed_rows,
-                                               state.num_rows,
-                                               std::move(query)));
-      }
-      plan.root = std::move(sink);
-      return plan;
-    }
-    const Pick picked = PickForRangeQuery(state, query);
-    plan.routing = picked.decision;
-    std::unique_ptr<PlanNode> sink = MakeSink(request, picked);
-    if (picked.entry == nullptr) {
-      plan.covered_rows = state.num_rows;
-      sink->children.push_back(MakeTermsScan(&state, OpKind::kSeqScanFallback,
-                                             table, 0, state.num_rows,
-                                             std::move(query)));
-    } else {
-      const internal::SnapshotIndexEntry& entry = *picked.entry;
-      plan.covered_rows = entry.covered_rows;
-      const bool count_direct = request.count_only &&
-                                entry.covered_rows == state.num_rows &&
-                                state.num_deleted == 0;
-      if (parallel && !count_direct && query.terms.size() >= 2) {
-        // One single-term probe per dimension under an And, so the
-        // executor evaluates the dimensions concurrently. Bit-identical to
-        // the fused probe: a multi-term conjunction is the AND of its
-        // single-term results under either semantics.
-        auto conjunction = std::make_unique<PlanNode>();
-        conjunction->kind = OpKind::kAnd;
-        conjunction->estimated_selectivity =
-            picked.decision.estimated_selectivity;
-        conjunction->label = "And";
-        for (const QueryTerm& term : query.terms) {
-          RangeQuery single;
-          single.terms = {term};
-          single.semantics = query.semantics;
-          conjunction->children.push_back(
-              MakeProbe(&state, *entry.index, std::move(single)));
-        }
-        sink->children.push_back(std::move(conjunction));
-      } else {
-        std::unique_ptr<PlanNode> probe =
-            MakeProbe(&state, *entry.index, query);
-        probe->count_direct = count_direct;
-        sink->children.push_back(std::move(probe));
-      }
-      if (entry.covered_rows < state.num_rows) {
-        sink->children.push_back(MakeTermsScan(&state, OpKind::kDeltaScan,
-                                               table, entry.covered_rows,
-                                               state.num_rows,
-                                               std::move(query)));
-      }
-    }
-    plan.root = std::move(sink);
-    return plan;
-  }
-
-  // Expression and text requests share the Kleene lowering path.
-  std::optional<QueryExpr> parsed;
-  if (request.shape == QueryRequest::Shape::kText) {
+    parsed = query.terms.size() == 1
+                 ? QueryExpr::MakeTerm(query.terms[0].attribute,
+                                       query.terms[0].interval)
+                 : QueryExpr::FromRangeQuery(query);
+    terms = std::move(query);
+  } else if (request.shape == QueryRequest::Shape::kText) {
     auto parse_result = ParseQuery(request.text, table);
     if (!parse_result.ok()) return parse_result.status();
     parsed = std::move(parse_result).value();
@@ -714,66 +605,60 @@ Result<PhysicalPlan> PlanRequest(const Snapshot& snapshot,
     parsed = *request.expression;
   }
   const QueryExpr& expr = *parsed;
-  INCDB_RETURN_IF_ERROR(expr.Validate(table));
-  if (segmented) {
-    const internal::SegmentList& segments = *state.segments;
-    std::vector<QueryTerm> leaves;
-    CollectLeafTerms(expr, &leaves);
-    Pick picked;
-    picked.decision.index_kind = segments.options.index_kind;
-    picked.decision.index_name =
-        "SEG[" + segments.segments.front()->index->Name() + "]";
-    picked.decision.is_point_query = TermsArePoint(leaves);
-    picked.decision.estimated_selectivity =
-        ExprSelectivity(state, expr, request.semantics);
-    picked.decision.estimated_cost =
-        KindCost(state, segments.options.index_kind, leaves,
-                 request.semantics, picked.decision.estimated_selectivity);
-    plan.routing = picked.decision;
-    plan.covered_rows = segments.sealed_rows;
-    std::unique_ptr<PlanNode> sink = MakeSink(request, picked);
-    const LeafFactory make_leaf = [&state, &segments](RangeQuery query) {
-      return MakeSegmentProbe(&state, segments, std::move(query));
-    };
-    INCDB_ASSIGN_OR_RETURN(
-        std::unique_ptr<PlanNode> main,
-        LowerExpr(make_leaf, expr, request.semantics,
-                  /*split_conjunctions=*/false));
-    sink->children.push_back(std::move(main));
-    if (segments.sealed_rows < state.num_rows) {
-      sink->children.push_back(MakeExprScan(&state, OpKind::kDeltaScan, table,
-                                            segments.sealed_rows,
-                                            state.num_rows, expr,
-                                            request.semantics));
-    }
-    plan.root = std::move(sink);
-    return plan;
+  if (!terms.has_value()) {
+    INCDB_RETURN_IF_ERROR(expr.Validate(table));
   }
-  const Pick picked = PickForExpression(state, expr, request.semantics);
-  plan.routing = picked.decision;
-  std::unique_ptr<PlanNode> sink = MakeSink(request, picked);
-  if (picked.entry == nullptr) {
-    plan.covered_rows = state.num_rows;
-    sink->children.push_back(MakeExprScan(&state, OpKind::kSeqScanFallback,
-                                          table, 0, state.num_rows, expr,
-                                          request.semantics));
+
+  Access access = ChooseAccess(state, expr, request.semantics);
+  PhysicalPlan plan;
+  plan.state = &state;
+  plan.semantics = request.semantics;
+  plan.count_only = request.count_only;
+  plan.limit = request.limit;
+  plan.visible_rows = state.num_rows;
+  plan.covered_rows = access.covered_rows;
+
+  auto sink = std::make_unique<PlanNode>();
+  sink->kind =
+      request.count_only ? OpKind::kCountSink : OpKind::kMaterializeSink;
+  sink->estimated_selectivity = access.decision.estimated_selectivity;
+  sink->label = OpKindToString(sink->kind);
+  if (access.parts.empty()) {
+    sink->children.push_back(MakeScan(state, OpKind::kSeqScanFallback, 0,
+                                      terms, expr, request.semantics));
   } else {
-    const internal::SnapshotIndexEntry& entry = *picked.entry;
-    plan.covered_rows = entry.covered_rows;
-    const LeafFactory make_leaf = [&state, &entry](RangeQuery query) {
-      return MakeProbe(&state, *entry.index, std::move(query));
+    // A pure conjunction lowers to one fused probe; under a count-only
+    // request whose probe covers every visible row of a snapshot with no
+    // deletions it counts straight off compressed storage.
+    std::vector<QueryTerm> conjunction;
+    const bool count_direct = request.count_only &&
+                              access.covered_rows == state.num_rows &&
+                              state.num_deleted == 0 &&
+                              IsPureConjunction(expr, &conjunction);
+    // Any parallelism degree other than "exactly one thread" keeps a
+    // registry plan's conjunctions split so leaf probes can run
+    // concurrently; a segmented probe already has one task per segment.
+    const bool split_conjunctions = request.parallelism != 1 &&
+                                    !count_direct &&
+                                    access.parts.front().segment == nullptr;
+    const LeafFactory make_leaf = [&state, &access](RangeQuery query) {
+      return MakeProbe(&state, access.parts, std::move(query));
     };
     INCDB_ASSIGN_OR_RETURN(
         std::unique_ptr<PlanNode> main,
-        LowerExpr(make_leaf, expr, request.semantics, parallel));
+        LowerExpr(make_leaf, expr, request.semantics, split_conjunctions));
+    if (main->kind == OpKind::kIndexProbe) {
+      main->count_direct = count_direct;
+      access.decision.estimated_cost *= UnprunedFraction(*main);
+    }
     sink->children.push_back(std::move(main));
-    if (entry.covered_rows < state.num_rows) {
-      sink->children.push_back(MakeExprScan(&state, OpKind::kDeltaScan, table,
-                                            entry.covered_rows,
-                                            state.num_rows, expr,
-                                            request.semantics));
+    if (access.covered_rows < state.num_rows) {
+      sink->children.push_back(MakeScan(state, OpKind::kDeltaScan,
+                                        access.covered_rows, terms, expr,
+                                        request.semantics));
     }
   }
+  plan.routing = std::move(access.decision);
   plan.root = std::move(sink);
   return plan;
 }
@@ -782,7 +667,7 @@ Result<PhysicalPlan> PlanRangeOverIndex(const IncompleteIndex& index,
                                         const RangeQuery& query) {
   PhysicalPlan plan;
   plan.semantics = query.semantics;
-  plan.root = MakeProbe(nullptr, index, query);
+  plan.root = MakeProbe(nullptr, WholeIndex(index), query);
   return plan;
 }
 
@@ -791,8 +676,9 @@ Result<PhysicalPlan> PlanExprOverIndex(const IncompleteIndex& index,
                                        MissingSemantics semantics) {
   PhysicalPlan plan;
   plan.semantics = semantics;
-  const LeafFactory make_leaf = [&index](RangeQuery query) {
-    return MakeProbe(nullptr, index, std::move(query));
+  const std::vector<ProbePart> parts = WholeIndex(index);
+  const LeafFactory make_leaf = [&parts](RangeQuery query) {
+    return MakeProbe(nullptr, parts, std::move(query));
   };
   INCDB_ASSIGN_OR_RETURN(plan.root,
                          LowerExpr(make_leaf, expr, semantics,

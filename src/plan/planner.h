@@ -10,27 +10,6 @@
 namespace incdb {
 namespace plan {
 
-/// Picks the cheapest registered structure for a conjunctive range query
-/// using the paper's cost guidance (§6) quantified per query: per-dimension
-/// bitvector accesses for the bitmap family (equality pays the interval
-/// width, range/interval encoding a constant 2), approximation-scan words
-/// plus selectivity-scaled refinement for the VA-file, cell reads for the
-/// scan. The estimated selectivity comes from query/selectivity.h with the
-/// snapshot's actual per-attribute missing rates. Ties fall back to the
-/// paper's preference order (equality first for point queries, range first
-/// otherwise).
-RoutingDecision RouteRangeQuery(const Snapshot& snapshot,
-                                const RangeQuery& query);
-
-/// Routing for a boolean expression: costs are summed over the expression's
-/// leaf terms (the plan executor computes a single Kleene component per
-/// leaf — the effective semantics after NOT parity — so a leaf costs the
-/// same as a conjunctive term); the selectivity estimate combines term
-/// probabilities through the expression structure.
-RoutingDecision RouteExpression(const Snapshot& snapshot,
-                                const QueryExpr& expr,
-                                MissingSemantics semantics);
-
 /// Lowers one request against a pinned snapshot into an executable
 /// operator tree: resolves / parses / validates the predicate, routes by
 /// predicted cost, and emits sink + index probes (or the scan fallback) +
@@ -64,10 +43,8 @@ Result<QueryResult> RunOnSnapshot(const Snapshot& snapshot,
 
 }  // namespace plan
 
-// The planner entry points predate the plan layer and are used throughout
-// tests/examples as incdb:: names; keep them reachable there.
-using plan::RouteExpression;
-using plan::RouteRangeQuery;
+// RunOnSnapshot predates the plan layer and is used throughout
+// tests/examples as an incdb:: name; keep it reachable there.
 using plan::RunOnSnapshot;
 
 }  // namespace incdb

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/database.h"
+#include "core/segments.h"
 #include "table/generator.h"
 
 namespace incdb {
@@ -106,6 +107,56 @@ TEST(PlanExplainTest, ParallelConjunctionShowsPerDimensionProbes) {
   EXPECT_TRUE(Contains(explain, "And")) << explain;
   EXPECT_TRUE(Contains(explain, "A0 in [2,4]")) << explain;
   EXPECT_TRUE(Contains(explain, "A1 in [1,3]")) << explain;
+}
+
+TEST(PlanExplainTest, SegmentedStoreRendersSegmentProbeAndCounters) {
+  // Rows [0, 100) are random; rows [100, 400) hold a0 = 1, 2, 3 in blocks of
+  // 100 with a0 never missing, so with 100-row segments the zone maps prune
+  // the two segments without a0 = 3.
+  Database db =
+      Database::FromTable(GenerateTable(UniformSpec(100, 6, 0.2, 3, 1019))
+                              .value())
+          .value();
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(db.Insert({static_cast<Value>(1 + i / 100),
+                           static_cast<Value>(1 + i % 6), kMissingValue})
+                    .ok());
+  }
+  SegmentOptions segments;
+  segments.segment_rows = 100;
+  segments.index_kind = IndexKind::kBitmapEquality;
+  ASSERT_TRUE(db.EnableSegments(segments).ok());
+  ASSERT_EQ(db.GetSnapshot().sealed_rows(), 400u);
+
+  const QueryRequest request = QueryRequest::Terms({{"a0", 3, 3}}).Explain();
+  const auto sealed = db.Run(request);
+  ASSERT_TRUE(sealed.ok()) << sealed.status().ToString();
+  EXPECT_EQ(sealed->chosen_index, "SEG[BEE-WAH]");
+  const std::string& explain = sealed->explain;
+  EXPECT_TRUE(
+      Contains(explain, "SegmentProbe BEE-WAH [match] A0 in [3,3] segs=2/4"))
+      << explain;
+  EXPECT_TRUE(Contains(explain, " segs=2 pruned=2")) << explain;
+  EXPECT_FALSE(Contains(explain, "DeltaScan")) << explain;
+
+  ASSERT_TRUE(db.Insert({3, 1, 1}).ok());
+  const auto tailed = db.Run(request);
+  ASSERT_TRUE(tailed.ok());
+  EXPECT_TRUE(Contains(tailed->explain, "segs=2/4")) << tailed->explain;
+  EXPECT_TRUE(Contains(tailed->explain, "DeltaScan rows [400,401)"))
+      << tailed->explain;
+  EXPECT_EQ(tailed->count, sealed->count + 1);
+
+  // Sealing the tail takes the DeltaScan away again.
+  for (int i = 1; i < 100; ++i) {
+    ASSERT_TRUE(db.Insert({1, 1, 1}).ok());
+  }
+  ASSERT_EQ(db.GetSnapshot().sealed_rows(), 500u);
+  const auto resealed = db.Run(request);
+  ASSERT_TRUE(resealed.ok());
+  EXPECT_TRUE(Contains(resealed->explain, "segs=3/5")) << resealed->explain;
+  EXPECT_FALSE(Contains(resealed->explain, "DeltaScan")) << resealed->explain;
+  EXPECT_EQ(resealed->count, tailed->count);
 }
 
 }  // namespace

@@ -207,6 +207,15 @@ void ExpectRunsAgreeWithOracle(const Database& db) {
           db.Run(QueryRequest::Expression(expr, semantics).Parallel(4));
       ASSERT_TRUE(parallel.ok());
       EXPECT_EQ(parallel->row_ids, expected) << expr.ToString();
+      for (const size_t threads : {1, 4}) {
+        const auto counted = db.Run(
+            QueryRequest::Expression(expr, semantics).CountOnly().Parallel(
+                threads));
+        ASSERT_TRUE(counted.ok());
+        EXPECT_EQ(counted->count, expected.size())
+            << expr.ToString() << " on " << threads << " threads";
+        EXPECT_TRUE(counted->row_ids.empty());
+      }
     }
 
     // Text lowers through the same expression path.
@@ -280,6 +289,33 @@ TEST_P(SnapshotPlanPropertyTest,
       ExpectRunsAgreeWithOracle(*reopened);
     }
     std::filesystem::remove_all(dir);
+  }
+  {
+    // Count-only plans count straight off the index only here: it covers
+    // every row and nothing is deleted.
+    SCOPED_TRACE("full coverage, no deletes");
+    Database db = IndexedDatabase(300, 625, GetParam());
+    const QueryRequest conjunction =
+        QueryRequest::Expression(
+            QueryExpr::MakeAnd({QueryExpr::MakeTerm(0, {3, 3}),
+                                QueryExpr::MakeTerm(2, {1, 2})}))
+            .CountOnly();
+    const auto counts_directly = [&conjunction](const Database& served) {
+      auto plan = PlanRequest(served.GetSnapshot(), conjunction);
+      return plan.ok() && plan->root->children.front()->count_direct;
+    };
+    EXPECT_TRUE(counts_directly(db));
+    ExpectRunsAgreeWithOracle(db);
+    if (IsSegmentIndexKind(GetParam())) {
+      SCOPED_TRACE("segments sealing every row");
+      SegmentOptions segments;
+      segments.segment_rows = 100;
+      segments.index_kind = GetParam();
+      ASSERT_TRUE(db.EnableSegments(segments).ok());
+      ASSERT_EQ(db.GetSnapshot().sealed_rows(), db.num_rows());
+      EXPECT_TRUE(counts_directly(db));
+      ExpectRunsAgreeWithOracle(db);
+    }
   }
   {
     // Database::Run uses 64Ki-row morsels, so Parallel(4) splits this tail

@@ -12,6 +12,7 @@
 #include "plan/plan.h"
 #include "plan/plan_executor.h"
 #include "plan/planner.h"
+#include "query/expr.h"
 #include "table/generator.h"
 
 namespace incdb {
@@ -113,19 +114,28 @@ TEST(PlanStatsTest, SeqScanFallbackChargesEveryVisibleRow) {
 
 TEST(PlanStatsTest, CountDirectSkipsMaterializationButKeepsTheCount) {
   Database db = MakeIndexedDb();
-  const QueryRequest request = QueryRequest::Terms({{"a0", 3, 3}});
-  const auto full = db.Run(request);
-  const auto counted = db.Run(QueryRequest(request).CountOnly());
-  ASSERT_TRUE(full.ok());
-  ASSERT_TRUE(counted.ok());
-  EXPECT_EQ(counted->count, full->count);
-  EXPECT_TRUE(counted->row_ids.empty());
-  // Full coverage and no deletes: the planner marks the probe count_direct.
-  const Snapshot snapshot = db.GetSnapshot();
-  auto plan = PlanRequest(snapshot, QueryRequest(request).CountOnly());
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->root->kind, OpKind::kCountSink);
-  EXPECT_TRUE(plan->root->children.front()->count_direct);
+  // Terms, a pure-conjunction expression and the same conjunction as text
+  // all lower to one fused probe, so all three count straight off the index.
+  const QueryExpr conjunction = QueryExpr::MakeAnd(
+      {QueryExpr::MakeTerm(0, {3, 3}), QueryExpr::MakeTerm(1, {1, 2})});
+  for (const QueryRequest& request :
+       {QueryRequest::Terms({{"a0", 3, 3}}),
+        QueryRequest::Expression(conjunction),
+        QueryRequest::Text("a0 = 3 AND a1 IN [1,2]")}) {
+    const auto full = db.Run(request);
+    const auto counted = db.Run(QueryRequest(request).CountOnly());
+    ASSERT_TRUE(full.ok());
+    ASSERT_TRUE(counted.ok());
+    EXPECT_EQ(counted->count, full->count);
+    EXPECT_TRUE(counted->row_ids.empty());
+    // Full coverage and no deletes: the planner marks the probe
+    // count_direct.
+    const Snapshot snapshot = db.GetSnapshot();
+    auto plan = PlanRequest(snapshot, QueryRequest(request).CountOnly());
+    ASSERT_TRUE(plan.ok());
+    EXPECT_EQ(plan->root->kind, OpKind::kCountSink);
+    EXPECT_TRUE(plan->root->children.front()->count_direct);
+  }
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
 // Validates the cost-based index advisor (the executable form of the
 // paper's "insights into the conditions for which to use each technique"):
 // for several workload profiles, prints each index kind's predicted cost
-// (abstract word touches) next to its measured time, plus whether the
+// (the router's word touches) next to its measured time, plus whether the
 // advisor's recommendation was the measured-fastest structure.
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
 
@@ -15,10 +14,12 @@
 namespace incdb {
 namespace {
 
+// Every kind IndexAdvisor::Rank can recommend.
 constexpr IndexKind kCandidates[] = {
-    IndexKind::kSequentialScan, IndexKind::kBitmapEquality,
-    IndexKind::kBitmapRange,    IndexKind::kBitmapInterval,
-    IndexKind::kBitmapBitSliced, IndexKind::kVaFile};
+    IndexKind::kSequentialScan,     IndexKind::kBitmapEquality,
+    IndexKind::kBitmapRange,        IndexKind::kBitmapInterval,
+    IndexKind::kBitmapBitSliced,    IndexKind::kBitmapMultiComponent,
+    IndexKind::kBitmapHierarchical, IndexKind::kVaFile};
 
 int Main() {
   const uint64_t rows = bench::BenchRows(50000);
@@ -95,18 +96,7 @@ int Main() {
                static_cast<uint64_t>(estimate.size_bytes)),
            bench::FormatBytesAsMB(index->SizeInBytes())});
     }
-    // The advisor ranks among candidates with modeled baselines excluded
-    // from recommendation only by cost, so compare against its top pick
-    // restricted to the candidate set.
-    const auto ranked = advisor.Rank(entry.profile, 1e18);
-    IndexKind recommended = IndexKind::kSequentialScan;
-    for (const IndexCostEstimate& estimate : ranked) {
-      if (std::find(std::begin(kCandidates), std::end(kCandidates),
-                    estimate.kind) != std::end(kCandidates)) {
-        recommended = estimate.kind;
-        break;
-      }
-    }
+    const IndexKind recommended = advisor.Recommend(entry.profile);
     const double gap = measured_by_kind[recommended] / best_measured;
     std::printf("# advisor picks %s (%.2fms); measured fastest %s "
                 "(%.2fms); gap %.2fx (%s)\n",

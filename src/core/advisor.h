@@ -20,8 +20,9 @@ struct WorkloadProfile {
   MissingSemantics semantics = MissingSemantics::kMatch;
 };
 
-/// Predicted cost of one index kind for a profile. Costs are in abstract
-/// "word touches" per query — comparable across kinds, not wall-clock.
+/// Predicted cost of one index kind for a profile. Costs are the router's
+/// per-kind "words touched" per query — comparable across kinds, not
+/// wall-clock.
 struct IndexCostEstimate {
   IndexKind kind = IndexKind::kSequentialScan;
   /// Predicted index size in bytes (0 for the scan).
@@ -35,24 +36,28 @@ struct IndexCostEstimate {
 ///
 /// From exact per-attribute histograms it predicts, for every index kind,
 /// the index size (via the analytic WAH compression model, so skew and
-/// missing rates matter exactly as in the paper's §5.2 analysis) and a
-/// per-query cost in word touches (bitvector accesses × expected
-/// compressed words for the bitmap family; packed-scan words for the
-/// VA-file; cell reads for the scan). Recommend() returns the cheapest kind
-/// whose predicted size fits the memory budget — reproducing the paper's
-/// guidance: BEE for point queries, BRE for range queries, VA-file under
-/// tight memory, scan for tiny tables.
+/// missing rates matter exactly as in the paper's §5.2 analysis). The
+/// per-query cost is the one the query router ranks access paths by
+/// (plan::KindCost), charged for the query the profile stands for
+/// (Estimate). Recommend() returns the cheapest kind whose
+/// predicted size fits the memory budget, so on a store holding every kind
+/// the router serves that query from the recommended one.
 class IndexAdvisor {
  public:
   /// Gathers histograms for every attribute (one pass over the table).
   explicit IndexAdvisor(const Table& table);
 
-  /// Predicted size/cost for one kind.
+  /// Predicted size/cost for one kind. The cost is charged for the query a
+  /// profile stands for: one term on each of the first `dims` attributes,
+  /// each as wide as the profile's selectivity makes it (rounded, at least
+  /// one value) and centred in its domain; when the values left over do
+  /// not split evenly, the extra one lies above.
   IndexCostEstimate Estimate(IndexKind kind,
                              const WorkloadProfile& profile) const;
 
   /// All kinds whose predicted size fits `memory_budget_bytes`, sorted by
-  /// ascending predicted query cost. The scan always qualifies.
+  /// ascending predicted query cost, exact ties broken by the router's
+  /// preference order. The scan always qualifies.
   std::vector<IndexCostEstimate> Rank(const WorkloadProfile& profile,
                                       double memory_budget_bytes) const;
 
@@ -65,8 +70,10 @@ class IndexAdvisor {
   }
 
  private:
-  double AvgTermWidth(const WorkloadProfile& profile, size_t attr) const;
+  RangeQuery SynthesizeQuery(const WorkloadProfile& profile) const;
+  double SizeBytes(IndexKind kind) const;
 
+  Schema schema_;
   uint64_t num_rows_;
   std::vector<AttributeHistogram> histograms_;
 };

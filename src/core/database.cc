@@ -6,6 +6,8 @@
 #include <thread>
 #include <utility>
 
+#include "common/logging.h"
+#include "common/task_runner.h"
 #include "common/timer.h"
 #include "plan/planner.h"
 #include "storage/reader.h"
@@ -131,9 +133,7 @@ BatchResult Database::RunBatch(const std::vector<QueryRequest>& requests,
                                size_t num_threads) const {
   BatchResult batch;
   if (requests.empty()) return batch;
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
+  if (num_threads == 0) num_threads = HardwareWorkers();
   num_threads = std::min(num_threads, requests.size());
   batch.num_threads = num_threads;
   batch.results.reserve(requests.size());
@@ -149,30 +149,19 @@ BatchResult Database::RunBatch(const std::vector<QueryRequest>& requests,
     QueryStats stats;
   };
   std::vector<WorkerState> workers(num_threads);
-  std::atomic<size_t> next{0};
+  // A failed request fails only its own slot of batch.results.
+  auto run = [&](size_t worker, size_t i) {
+    Result<QueryResult> result = plan::RunOnSnapshot(snapshot, requests[i]);
+    if (result.ok()) {
+      workers[worker].matches += result.value().count;
+      workers[worker].stats.MergeFrom(result.value().stats);
+    }
+    batch.results[i] = std::move(result);
+    return Status::OK();
+  };
 
   Timer timer;
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(num_threads);
-    for (size_t t = 0; t < num_threads; ++t) {
-      threads.emplace_back([&, t]() {
-        WorkerState& state = workers[t];
-        for (;;) {
-          const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= requests.size()) break;
-          Result<QueryResult> result =
-              plan::RunOnSnapshot(snapshot, requests[i]);
-          if (result.ok()) {
-            state.matches += result.value().count;
-            state.stats.MergeFrom(result.value().stats);
-          }
-          batch.results[i] = std::move(result);
-        }
-      });
-    }
-    for (std::thread& thread : threads) thread.join();
-  }
+  INCDB_CHECK_OK(RunTasks(requests.size(), num_threads, run));
   batch.wall_millis = timer.ElapsedMillis();
   for (const WorkerState& state : workers) {
     batch.total_matches += state.matches;
@@ -254,31 +243,6 @@ CompactionStats Database::GetCompactionStats() const {
       shared_->segments_reused.load(std::memory_order_relaxed);
   return stats;
 }
-
-namespace {
-
-/// Runs task(i) for every i in [0, tasks) and returns when all are done.
-/// Up to one thread per hardware thread, and no more threads than tasks,
-/// claim the tasks in turn; the calling thread is one of them.
-template <typename Task>
-void RunTasks(size_t tasks, const Task& task) {
-  std::atomic<size_t> next{0};
-  auto worker = [&]() {
-    for (;;) {
-      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= tasks) return;
-      task(i);
-    }
-  };
-  const size_t workers = std::min<size_t>(
-      std::max(1u, std::thread::hardware_concurrency()), tasks);
-  std::vector<std::thread> threads;
-  for (size_t t = 1; t < workers; ++t) threads.emplace_back(worker);
-  worker();
-  for (std::thread& thread : threads) thread.join();
-}
-
-}  // namespace
 
 Status Database::CompactNow() {
   const MutexLock writer_lock(&shared_->writer_mu);
@@ -406,19 +370,16 @@ Status Database::CompactNow() {
     std::vector<uint64_t> ids(to_build.size());
     for (size_t j = 0; j < to_build.size(); ++j) ids[j] = next_content_id_++;
     const IndexKind kind = segment_list_->options.index_kind;
-    std::vector<Status> statuses(to_build.size());
-    RunTasks(to_build.size(), [&](size_t j) {
+    auto build = [&](size_t, size_t j) -> Status {
       const Desc& d = descs[to_build[j]];
-      Result<internal::Segment> seg = internal::BuildSealedSegment(
-          *new_table, d.begin, d.rows, kind, ids[j]);
-      if (!seg.ok()) {
-        statuses[j] = seg.status();
-        return;
-      }
+      INCDB_ASSIGN_OR_RETURN(internal::Segment seg,
+                             internal::BuildSealedSegment(
+                                 *new_table, d.begin, d.rows, kind, ids[j]));
       built_segs[to_build[j]] =
-          std::make_shared<const internal::Segment>(std::move(seg).value());
-    });
-    for (const Status& status : statuses) INCDB_RETURN_IF_ERROR(status);
+          std::make_shared<const internal::Segment>(std::move(seg));
+      return Status::OK();
+    };
+    INCDB_RETURN_IF_ERROR(RunTasks(to_build.size(), HardwareWorkers(), build));
     built = to_build.size();
 
     auto list = std::make_shared<internal::SegmentList>();
@@ -446,18 +407,12 @@ Status Database::CompactNow() {
   if (new_table->num_rows() > 0) {
     const std::vector<internal::SnapshotIndexEntry>& old = *registry_;
     std::vector<std::unique_ptr<IncompleteIndex>> indexes(old.size());
-    std::vector<Status> statuses(old.size());
-    RunTasks(old.size(), [&](size_t i) {
-      Result<std::unique_ptr<IncompleteIndex>> index =
-          CreateIndex(old[i].kind, *new_table);
-      if (index.ok()) {
-        indexes[i] = std::move(index).value();
-      } else {
-        statuses[i] = index.status();
-      }
-    });
+    auto build = [&](size_t, size_t i) -> Status {
+      INCDB_ASSIGN_OR_RETURN(indexes[i], CreateIndex(old[i].kind, *new_table));
+      return Status::OK();
+    };
+    INCDB_RETURN_IF_ERROR(RunTasks(old.size(), HardwareWorkers(), build));
     for (size_t i = 0; i < old.size(); ++i) {
-      INCDB_RETURN_IF_ERROR(statuses[i]);
       internal::SnapshotIndexEntry entry;
       entry.kind = old[i].kind;
       entry.index =

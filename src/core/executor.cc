@@ -1,7 +1,8 @@
 #include "core/executor.h"
 
-#include <thread>
+#include <algorithm>
 
+#include "common/task_runner.h"
 #include "common/timer.h"
 #include "plan/plan_executor.h"
 #include "plan/planner.h"
@@ -48,45 +49,30 @@ Result<WorkloadResult> RunWorkload(const IncompleteIndex& index,
 Result<WorkloadResult> RunWorkloadParallel(
     const IncompleteIndex& index, const std::vector<RangeQuery>& queries,
     uint64_t num_rows, size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
+  if (num_threads == 0) num_threads = HardwareWorkers();
   num_threads = std::min(num_threads, std::max<size_t>(1, queries.size()));
 
   struct WorkerState {
     uint64_t matches = 0;
     QueryStats stats;
-    Status status;
   };
   std::vector<WorkerState> workers(num_threads);
+  auto run = [&](size_t worker, size_t q) -> Status {
+    INCDB_ASSIGN_OR_RETURN(const uint64_t matches,
+                           RunOneQuery(index, queries[q],
+                                       &workers[worker].stats));
+    workers[worker].matches += matches;
+    return Status::OK();
+  };
 
   Timer timer;
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(num_threads);
-    for (size_t t = 0; t < num_threads; ++t) {
-      threads.emplace_back([&, t]() {
-        WorkerState& state = workers[t];
-        // Strided partition: worker t takes queries t, t+T, t+2T, ...
-        for (size_t q = t; q < queries.size(); q += num_threads) {
-          auto result = RunOneQuery(index, queries[q], &state.stats);
-          if (!result.ok()) {
-            state.status = result.status();
-            return;
-          }
-          state.matches += result.value();
-        }
-      });
-    }
-    for (std::thread& thread : threads) thread.join();
-  }
+  INCDB_RETURN_IF_ERROR(RunTasks(queries.size(), num_threads, run));
 
   WorkloadResult result;
   result.index_name = index.Name();
   result.num_queries = queries.size();
   result.total_millis = timer.ElapsedMillis();
   for (const WorkerState& state : workers) {
-    INCDB_RETURN_IF_ERROR(state.status);
     result.total_matches += state.matches;
     result.stats.MergeFrom(state.stats);
   }

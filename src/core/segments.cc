@@ -1,11 +1,9 @@
 #include "core/segments.h"
 
-#include <atomic>
-#include <thread>
 #include <utility>
 
 #include "common/logging.h"
-#include "common/thread_annotations.h"
+#include "common/task_runner.h"
 
 namespace incdb {
 
@@ -102,37 +100,16 @@ Result<std::vector<std::shared_ptr<const Segment>>> BuildSegmentsParallel(
   const uint64_t first_id = *next_content_id;
   *next_content_id += count;
 
-  std::atomic<uint64_t> next{0};
-  std::vector<Status> errors;
-  Mutex errors_mu;
-  auto worker = [&]() {
-    for (;;) {
-      const uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      const uint64_t begin = first_unsealed + i * options.segment_rows;
-      Result<Segment> seg =
-          BuildSealedSegment(table, begin, options.segment_rows,
-                             options.index_kind, first_id + i);
-      if (!seg.ok()) {
-        const MutexLock lock(&errors_mu);
-        errors.push_back(seg.status());
-        return;
-      }
-      out[i] = std::make_shared<const Segment>(std::move(seg).value());
-    }
+  auto build = [&](size_t, size_t i) -> Status {
+    INCDB_ASSIGN_OR_RETURN(
+        Segment seg,
+        BuildSealedSegment(table, first_unsealed + i * options.segment_rows,
+                           options.segment_rows, options.index_kind,
+                           first_id + i));
+    out[i] = std::make_shared<const Segment>(std::move(seg));
+    return Status::OK();
   };
-
-  unsigned workers = parallelism == 0 ? 1u : parallelism;
-  if (workers > count) workers = static_cast<unsigned>(count);
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) threads.emplace_back(worker);
-    for (std::thread& t : threads) t.join();
-  }
-  if (!errors.empty()) return errors.front();
+  INCDB_RETURN_IF_ERROR(RunTasks(count, parallelism, build));
   return out;
 }
 

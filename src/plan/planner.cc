@@ -1,250 +1,21 @@
 #include "plan/planner.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <functional>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "bitmap/slicer.h"
+#include "plan/cost.h"
 #include "plan/plan_executor.h"
 #include "query/parser.h"
 #include "query/selectivity.h"
-#include "simd/simd.h"
 
 namespace incdb {
 namespace plan {
 
 namespace {
-
-// Tie-break order per query shape (paper §6: BEE optimal for point
-// queries; BRE typically best for range queries; BIE next — two bitmaps
-// per dimension at half BEE's storage; VA-file the fallback index). The
-// cost model below reproduces this ordering on its own for the common
-// cases; the preference list only decides exact cost ties (e.g. BRE vs
-// BIE, both a constant two bitvectors per dimension).
-const IndexKind kPointPreference[] = {
-    IndexKind::kBitmapEquality,  IndexKind::kBitmapRange,
-    IndexKind::kBitmapInterval,  IndexKind::kBitmapBitSliced,
-    IndexKind::kBitmapMultiComponent, IndexKind::kBitmapHierarchical,
-    IndexKind::kVaFile,          IndexKind::kVaPlusFile,
-    IndexKind::kSequentialScan};
-const IndexKind kRangePreference[] = {
-    IndexKind::kBitmapRange,     IndexKind::kBitmapInterval,
-    IndexKind::kBitmapHierarchical, IndexKind::kBitmapMultiComponent,
-    IndexKind::kBitmapEquality,  IndexKind::kBitmapBitSliced,
-    IndexKind::kVaFile,          IndexKind::kVaPlusFile,
-    IndexKind::kSequentialScan};
-
-int PreferenceRank(IndexKind kind, bool is_point) {
-  const auto& preference = is_point ? kPointPreference : kRangePreference;
-  int rank = 0;
-  for (IndexKind candidate : preference) {
-    if (candidate == kind) return rank;
-    ++rank;
-  }
-  return rank;
-}
-
-double Log2Ceil(uint32_t cardinality) {
-  return std::ceil(std::log2(static_cast<double>(std::max(2u, cardinality))));
-}
-
-/// Effective per-word cost of the fused bitmap kernels relative to the
-/// scalar dispatch level (which still runs the hybrid dense-block engine,
-/// so these capture only the vector-width gain). The constants are the
-/// geometric-mean time ratios vs the scalar level over the full
-/// bench_simd_kernels matrix — density x k x word width x kernel (see
-/// docs/KERNELS.md; sparse cells never touch the kernels, which is why the
-/// all-matrix means sit well above the ~0.3 dense-only ratios). They scale
-/// every bitmap kind equally — bitmap-vs-bitmap ranking is untouched — but
-/// shift the crossover against the row-oracle scans, whose per-cell cost
-/// the wider kernels do not change.
-double SimdWordCostFactor() {
-  switch (simd::ActiveLevel()) {
-    case simd::Level::kAvx2:
-      return 0.79;
-    case simd::Level::kSse2:
-      return 0.83;
-    case simd::Level::kScalar:
-      return 1.0;
-  }
-  return 1.0;
-}
-
-/// Estimated equality-encoded bitvector accesses for a slot interval of
-/// `width` over an axis of `slots`: the evaluator reads the smaller of the
-/// inside/outside sides (Fig. 2), plus one for B_0 / the complement pass.
-double EqualityProbes(double width, double slots) {
-  return std::min(width, slots - width) + 1.0;
-}
-
-/// Exact bitmaps-touched count of the multi-component probe tree
-/// (BitmapIndex::EvalMixedRadix), computed arithmetically from the
-/// slicer's component structure — no dependence on C itself.
-double MixedRadixProbes(const Slicer& slicer, size_t axis, uint64_t lo,
-                        uint64_t hi) {
-  const double slots = static_cast<double>(slicer.num_slots(axis));
-  if (axis == 0) {
-    return EqualityProbes(static_cast<double>(hi - lo + 1), slots);
-  }
-  const uint64_t div = slicer.axes()[axis].divisor;
-  uint64_t d_lo = lo / div;
-  uint64_t d_hi = hi / div;
-  const uint64_t rem_lo = lo % div;
-  const uint64_t rem_hi = hi % div;
-  if (d_lo == d_hi) {
-    return 1.0 + MixedRadixProbes(slicer, axis - 1, rem_lo, rem_hi);
-  }
-  double probes = 0.0;
-  if (rem_lo != 0) {
-    probes += 1.0 + MixedRadixProbes(slicer, axis - 1, rem_lo, div - 1);
-    ++d_lo;
-  }
-  if (rem_hi != div - 1) {
-    probes += 1.0 + MixedRadixProbes(slicer, axis - 1, 0, rem_hi);
-    --d_hi;
-  }
-  if (d_lo <= d_hi) {
-    probes += EqualityProbes(static_cast<double>(d_hi - d_lo + 1), slots);
-  }
-  return probes;
-}
-
-/// Exact bin count of the hierarchical segment-tree cover (<= 2 per level),
-/// derived from the level structure alone.
-double HierarchicalProbes(uint64_t lo, uint64_t hi) {
-  double probes = 0.0;
-  while (true) {
-    if (lo > hi) break;
-    if (lo == hi) {
-      probes += 1.0;
-      break;
-    }
-    if ((lo & 1) != 0) {
-      probes += 1.0;
-      ++lo;
-    }
-    if ((hi & 1) == 0) {
-      probes += 1.0;
-      --hi;
-    }
-    if (lo > hi) break;
-    lo >>= 1;
-    hi >>= 1;
-  }
-  return probes;
-}
-
-/// Predicted words touched when `kind` serves one conjunctive term list.
-/// Bitmap kinds pay (bitvector accesses) x (words per full bitvector); the
-/// VA-file pays the packed approximation scan plus selectivity-scaled exact
-/// refinement; the scan pays one cell read per row per dimension.
-double KindCost(const internal::SnapshotState& state, IndexKind kind,
-                const std::vector<QueryTerm>& terms,
-                MissingSemantics semantics, double estimated_selectivity) {
-  const Schema& schema = state.table->schema();
-  const double n = static_cast<double>(state.num_rows);
-  const double bitvector_words = n / 31.0 * SimdWordCostFactor();
-  // Under missing-is-match every dimension also reads the missing bitmap.
-  const double missing_extra =
-      semantics == MissingSemantics::kMatch ? 1.0 : 0.0;
-  const double dims = static_cast<double>(std::max<size_t>(1, terms.size()));
-  const double scan_cost = 0.5 * n * dims;
-  switch (kind) {
-    case IndexKind::kBitmapEquality: {
-      double accesses = 0.0;
-      for (const QueryTerm& term : terms) {
-        accesses += static_cast<double>(term.interval.Width()) + missing_extra;
-      }
-      return accesses * bitvector_words;
-    }
-    case IndexKind::kBitmapRange: {
-      double accesses = 0.0;
-      for (const QueryTerm& term : terms) {
-        const uint32_t cardinality =
-            schema.attribute(term.attribute).cardinality;
-        const bool one_sided =
-            term.interval.lo == 1 ||
-            term.interval.hi == static_cast<Value>(cardinality);
-        accesses += (one_sided ? 1.0 : 2.0) + missing_extra;
-      }
-      return accesses * bitvector_words;
-    }
-    case IndexKind::kBitmapInterval:
-      return (2.0 + missing_extra) * dims * bitvector_words;
-    case IndexKind::kBitmapBitSliced: {
-      double accesses = 0.0;
-      for (const QueryTerm& term : terms) {
-        accesses +=
-            Log2Ceil(schema.attribute(term.attribute).cardinality) + 1.0;
-      }
-      return accesses * bitvector_words;
-    }
-    case IndexKind::kBitmapMultiComponent: {
-      double accesses = 0.0;
-      for (const QueryTerm& term : terms) {
-        const uint32_t cardinality =
-            schema.attribute(term.attribute).cardinality;
-        if (term.interval.lo == 1 &&
-            term.interval.hi == static_cast<Value>(cardinality)) {
-          accesses += missing_extra;
-          continue;
-        }
-        Result<Slicer> slicer =
-            Slicer::Create(SlotScheme::kMultiComponent, cardinality);
-        if (!slicer.ok()) {
-          accesses += static_cast<double>(term.interval.Width());
-          continue;
-        }
-        accesses += MixedRadixProbes(
-                        slicer.value(), slicer.value().num_axes() - 1,
-                        static_cast<uint64_t>(term.interval.lo) - 1,
-                        static_cast<uint64_t>(term.interval.hi) - 1) +
-                    missing_extra;
-      }
-      return accesses * bitvector_words;
-    }
-    case IndexKind::kBitmapHierarchical: {
-      double accesses = 0.0;
-      for (const QueryTerm& term : terms) {
-        const uint32_t cardinality =
-            schema.attribute(term.attribute).cardinality;
-        if (term.interval.lo == 1 &&
-            term.interval.hi == static_cast<Value>(cardinality)) {
-          accesses += missing_extra;
-          continue;
-        }
-        accesses += HierarchicalProbes(
-                        static_cast<uint64_t>(term.interval.lo) - 1,
-                        static_cast<uint64_t>(term.interval.hi) - 1) +
-                    missing_extra;
-      }
-      return accesses * bitvector_words;
-    }
-    case IndexKind::kVaFile:
-    case IndexKind::kVaPlusFile: {
-      double bits = 0.0;
-      for (const QueryTerm& term : terms) {
-        bits += Log2Ceil(schema.attribute(term.attribute).cardinality) + 1.0;
-      }
-      return n * bits / 64.0 + estimated_selectivity * scan_cost;
-    }
-    case IndexKind::kSequentialScan:
-      return scan_cost;
-  }
-  return scan_cost;
-}
-
-bool TermsArePoint(const std::vector<QueryTerm>& terms) {
-  for (const QueryTerm& term : terms) {
-    if (!term.interval.IsPoint()) return false;
-  }
-  return true;
-}
 
 /// Predicted selectivity of one term (paper §5.3), using the snapshot's
 /// actual missing rate for its attribute.
@@ -334,16 +105,15 @@ struct Access {
 /// The sealed segments when there are any: every segment carries its own
 /// index, so the per-segment grid is both the access path and the parallel
 /// morsel grid. Otherwise ranks every registered index plus the scan by
-/// (predicted cost, preference rank) and returns the winner. Expressions
-/// cost the same per leaf as conjunctive terms: the plan executor computes
-/// one Kleene component per leaf (the effective semantics after NOT
-/// parity), never the (possible, certain) pair.
-Access ChooseAccess(const internal::SnapshotState& state, const QueryExpr& expr,
+/// (KindCost, PreferenceRank) over the request's leaf terms and returns the
+/// winner. Expressions cost the same per leaf as conjunctive terms: the
+/// plan executor computes one Kleene component per leaf (the effective
+/// semantics after NOT parity), never the (possible, certain) pair.
+Access ChooseAccess(const internal::SnapshotState& state,
+                    const std::vector<QueryTerm>& leaves, double selectivity,
                     MissingSemantics semantics) {
-  std::vector<QueryTerm> leaves;
-  CollectLeafTerms(expr, &leaves);
+  const Schema& schema = state.table->schema();
   const bool is_point = TermsArePoint(leaves);
-  const double selectivity = ExprSelectivity(state, expr, semantics);
   Access access;
   access.decision.is_point_query = is_point;
   access.decision.estimated_selectivity = selectivity;
@@ -359,20 +129,22 @@ Access ChooseAccess(const internal::SnapshotState& state, const QueryExpr& expr,
     access.decision.index_kind = segments.options.index_kind;
     access.decision.index_name =
         "SEG[" + segments.segments.front()->index->Name() + "]";
-    access.decision.estimated_cost = KindCost(
-        state, segments.options.index_kind, leaves, semantics, selectivity);
+    access.decision.estimated_cost =
+        KindCost(schema, state.num_rows, segments.options.index_kind, leaves,
+                 semantics, selectivity);
     return access;
   }
   access.covered_rows = state.num_rows;
   access.decision.index_kind = IndexKind::kSequentialScan;
   access.decision.index_name = "SeqScan";
-  access.decision.estimated_cost = KindCost(
-      state, IndexKind::kSequentialScan, leaves, semantics, selectivity);
+  access.decision.estimated_cost =
+      KindCost(schema, state.num_rows, IndexKind::kSequentialScan, leaves,
+               semantics, selectivity);
   int best_rank = PreferenceRank(IndexKind::kSequentialScan, is_point);
   const internal::SnapshotIndexEntry* best = nullptr;
   for (const internal::SnapshotIndexEntry& entry : *state.indexes) {
-    const double cost =
-        KindCost(state, entry.kind, leaves, semantics, selectivity);
+    const double cost = KindCost(schema, state.num_rows, entry.kind, leaves,
+                                 semantics, selectivity);
     const int rank = PreferenceRank(entry.kind, is_point);
     if (cost < access.decision.estimated_cost ||
         (cost == access.decision.estimated_cost && rank < best_rank)) {
@@ -397,7 +169,8 @@ MissingSemantics FlipSemantics(MissingSemantics semantics) {
 
 /// A fused multi-term probe under either Kleene component equals the AND of
 /// its single-term probes, so a conjunction of terms over distinct
-/// attributes can collapse into one native index execution.
+/// attributes can collapse into one native index execution. On success
+/// `terms` holds the conjunction's terms, which are also its leaves.
 bool IsPureConjunction(const QueryExpr& expr, std::vector<QueryTerm>* terms) {
   if (expr.kind() == QueryExpr::Kind::kTerm) {
     terms->push_back({expr.attribute(), expr.interval()});
@@ -416,16 +189,25 @@ bool IsPureConjunction(const QueryExpr& expr, std::vector<QueryTerm>* terms) {
   return !terms->empty();
 }
 
+/// The probe query for `terms` under the effective `semantics`.
+RangeQuery Conjunction(std::vector<QueryTerm> terms,
+                       MissingSemantics semantics) {
+  RangeQuery query;
+  query.terms = std::move(terms);
+  query.semantics = semantics;
+  return query;
+}
+
 /// One probe over `parts`. Each segment's zone map is consulted here at plan
 /// time: a pruned segment provably holds no row matching the probe's
 /// effective semantics, so the executor never touches it and its zero bits
 /// stand in for the exact leaf value.
 std::unique_ptr<PlanNode> MakeProbe(const internal::SnapshotState* state,
-                                    const std::vector<ProbePart>& parts,
+                                    std::vector<ProbePart> parts,
                                     RangeQuery query) {
   auto node = std::make_unique<PlanNode>();
   node->kind = OpKind::kIndexProbe;
-  node->parts = parts;
+  node->parts = std::move(parts);
   node->probe = std::move(query);
   uint64_t pruned = 0;
   for (ProbePart& part : node->parts) {
@@ -437,13 +219,14 @@ std::unique_ptr<PlanNode> MakeProbe(const internal::SnapshotState* state,
     node->estimated_selectivity =
         TermsSelectivity(*state, node->probe.terms, node->probe.semantics);
   }
-  const std::string name = parts.front().index->Name();
-  if (parts.front().segment == nullptr) {
+  const ProbePart& first = node->parts.front();
+  const std::string name = first.index->Name();
+  if (first.segment == nullptr) {
     node->label = "IndexProbe " + name + " " + node->probe.ToString();
   } else {
     node->label = "SegmentProbe " + name + " " + node->probe.ToString() +
-                  " segs=" + std::to_string(parts.size() - pruned) + "/" +
-                  std::to_string(parts.size());
+                  " segs=" + std::to_string(node->parts.size() - pruned) +
+                  "/" + std::to_string(node->parts.size());
   }
   return node;
 }
@@ -464,7 +247,7 @@ double UnprunedFraction(const PlanNode& probe) {
 std::unique_ptr<PlanNode> MakeScan(const internal::SnapshotState& state,
                                    OpKind kind, uint64_t begin,
                                    const std::optional<RangeQuery>& terms,
-                                   const QueryExpr& expr,
+                                   const std::optional<QueryExpr>& expr,
                                    MissingSemantics semantics) {
   auto node = std::make_unique<PlanNode>();
   node->kind = kind;
@@ -478,11 +261,11 @@ std::unique_ptr<PlanNode> MakeScan(const internal::SnapshotState& state,
         TermsSelectivity(state, terms->terms, terms->semantics);
     predicate = terms->ToString();
   } else {
-    node->scan_expr = expr;
+    node->scan_expr = *expr;
     node->scan_semantics = semantics;
-    node->estimated_selectivity = ExprSelectivity(state, expr, semantics);
+    node->estimated_selectivity = ExprSelectivity(state, *expr, semantics);
     predicate = "[" + std::string(MissingSemanticsToString(semantics)) +
-                "] " + expr.ToString();
+                "] " + expr->ToString();
   }
   node->label = std::string(OpKindToString(kind)) + " rows [" +
                 std::to_string(begin) + "," + std::to_string(state.num_rows) +
@@ -502,23 +285,22 @@ using LeafFactory = std::function<std::unique_ptr<PlanNode>(RangeQuery)>;
 /// `split_conjunctions`, conjunctions stay And-of-probes so the executor
 /// can evaluate the probes concurrently; otherwise pure conjunctions of
 /// distinct attributes collapse into one fused native probe.
-Result<std::unique_ptr<PlanNode>> LowerExpr(
-    const LeafFactory& make_leaf, const QueryExpr& expr,
-    MissingSemantics effective, bool split_conjunctions) {
-  std::vector<QueryTerm> conjunction;
-  if (!split_conjunctions && IsPureConjunction(expr, &conjunction)) {
-    RangeQuery query;
-    query.terms = std::move(conjunction);
-    query.semantics = effective;
-    return make_leaf(std::move(query));
-  }
+Result<std::unique_ptr<PlanNode>> LowerExpr(const LeafFactory& make_leaf,
+                                            const QueryExpr& expr,
+                                            MissingSemantics effective,
+                                            bool split_conjunctions);
+
+/// LowerExpr past its fusion test: lowers `expr`'s own operator, and its
+/// children through LowerExpr. A caller that has already found `expr` not
+/// to fuse starts here.
+Result<std::unique_ptr<PlanNode>> LowerOperator(const LeafFactory& make_leaf,
+                                                const QueryExpr& expr,
+                                                MissingSemantics effective,
+                                                bool split_conjunctions) {
   switch (expr.kind()) {
-    case QueryExpr::Kind::kTerm: {
-      RangeQuery query;
-      query.terms = {{expr.attribute(), expr.interval()}};
-      query.semantics = effective;
-      return make_leaf(std::move(query));
-    }
+    case QueryExpr::Kind::kTerm:
+      return make_leaf(
+          Conjunction({{expr.attribute(), expr.interval()}}, effective));
     case QueryExpr::Kind::kAnd:
     case QueryExpr::Kind::kOr: {
       if (expr.children().empty()) {
@@ -560,6 +342,17 @@ Result<std::unique_ptr<PlanNode>> LowerExpr(
   return Status::Internal("unknown expression kind");
 }
 
+Result<std::unique_ptr<PlanNode>> LowerExpr(const LeafFactory& make_leaf,
+                                            const QueryExpr& expr,
+                                            MissingSemantics effective,
+                                            bool split_conjunctions) {
+  std::vector<QueryTerm> conjunction;
+  if (!split_conjunctions && IsPureConjunction(expr, &conjunction)) {
+    return make_leaf(Conjunction(std::move(conjunction), effective));
+  }
+  return LowerOperator(make_leaf, expr, effective, split_conjunctions);
+}
+
 }  // namespace
 
 Result<PhysicalPlan> PlanRequest(const Snapshot& snapshot,
@@ -575,8 +368,10 @@ Result<PhysicalPlan> PlanRequest(const Snapshot& snapshot,
   const internal::SnapshotState& state = snapshot.state();
   const Table& table = *state.table;
 
-  // Resolve the predicate. A terms request lowers as its conjunction; only
-  // its scans keep the terms form, for the MatchWords kernel.
+  // Resolve the predicate. A terms request keeps its resolved terms: they
+  // are its leaves, its conjunction (ValidateQuery rejects a repeated
+  // attribute) and its scans' MatchWords form. It builds an expression only
+  // to lower split conjunctions.
   std::optional<RangeQuery> terms;
   std::optional<QueryExpr> parsed;
   if (request.shape == QueryRequest::Shape::kTerms) {
@@ -588,10 +383,6 @@ Result<PhysicalPlan> PlanRequest(const Snapshot& snapshot,
       query.terms.push_back(resolved);
     }
     INCDB_RETURN_IF_ERROR(ValidateQuery(query, table));
-    parsed = query.terms.size() == 1
-                 ? QueryExpr::MakeTerm(query.terms[0].attribute,
-                                       query.terms[0].interval)
-                 : QueryExpr::FromRangeQuery(query);
     terms = std::move(query);
   } else if (request.shape == QueryRequest::Shape::kText) {
     auto parse_result = ParseQuery(request.text, table);
@@ -604,12 +395,27 @@ Result<PhysicalPlan> PlanRequest(const Snapshot& snapshot,
     }
     parsed = *request.expression;
   }
-  const QueryExpr& expr = *parsed;
-  if (!terms.has_value()) {
-    INCDB_RETURN_IF_ERROR(expr.Validate(table));
-  }
 
-  Access access = ChooseAccess(state, expr, request.semantics);
+  // Test for a pure conjunction once; its terms are then also the leaves
+  // the router prices.
+  bool pure_conjunction = true;
+  std::vector<QueryTerm> expr_leaves;
+  double selectivity = 0.0;
+  if (terms.has_value()) {
+    selectivity = TermsSelectivity(state, terms->terms, request.semantics);
+  } else {
+    INCDB_RETURN_IF_ERROR(parsed->Validate(table));
+    pure_conjunction = IsPureConjunction(*parsed, &expr_leaves);
+    if (!pure_conjunction) {
+      expr_leaves.clear();
+      CollectLeafTerms(*parsed, &expr_leaves);
+    }
+    selectivity = ExprSelectivity(state, *parsed, request.semantics);
+  }
+  const std::vector<QueryTerm>& leaves =
+      terms.has_value() ? terms->terms : expr_leaves;
+
+  Access access = ChooseAccess(state, leaves, selectivity, request.semantics);
   PhysicalPlan plan;
   plan.state = &state;
   plan.semantics = request.semantics;
@@ -625,36 +431,47 @@ Result<PhysicalPlan> PlanRequest(const Snapshot& snapshot,
   sink->label = OpKindToString(sink->kind);
   if (access.parts.empty()) {
     sink->children.push_back(MakeScan(state, OpKind::kSeqScanFallback, 0,
-                                      terms, expr, request.semantics));
+                                      terms, parsed, request.semantics));
   } else {
     // A pure conjunction lowers to one fused probe; under a count-only
     // request whose probe covers every visible row of a snapshot with no
     // deletions it counts straight off compressed storage.
-    std::vector<QueryTerm> conjunction;
     const bool count_direct = request.count_only &&
                               access.covered_rows == state.num_rows &&
-                              state.num_deleted == 0 &&
-                              IsPureConjunction(expr, &conjunction);
+                              state.num_deleted == 0 && pure_conjunction;
     // Any parallelism degree other than "exactly one thread" keeps a
     // registry plan's conjunctions split so leaf probes can run
     // concurrently; a segmented probe already has one task per segment.
     const bool split_conjunctions = request.parallelism != 1 &&
                                     !count_direct &&
                                     access.parts.front().segment == nullptr;
-    const LeafFactory make_leaf = [&state, &access](RangeQuery query) {
-      return MakeProbe(&state, access.parts, std::move(query));
-    };
-    INCDB_ASSIGN_OR_RETURN(
-        std::unique_ptr<PlanNode> main,
-        LowerExpr(make_leaf, expr, request.semantics, split_conjunctions));
-    if (main->kind == OpKind::kIndexProbe) {
+    std::unique_ptr<PlanNode> main;
+    if (pure_conjunction && !split_conjunctions) {
+      main = MakeProbe(&state, std::move(access.parts),
+                       Conjunction(leaves, request.semantics));
       main->count_direct = count_direct;
+    } else {
+      if (!parsed.has_value()) {
+        parsed = terms->terms.size() == 1
+                     ? QueryExpr::MakeTerm(terms->terms[0].attribute,
+                                           terms->terms[0].interval)
+                     : QueryExpr::FromRangeQuery(*terms);
+      }
+      const LeafFactory make_leaf = [&state, &access](RangeQuery query) {
+        return MakeProbe(&state, access.parts, std::move(query));
+      };
+      INCDB_ASSIGN_OR_RETURN(main,
+                             LowerOperator(make_leaf, *parsed,
+                                           request.semantics,
+                                           split_conjunctions));
+    }
+    if (main->kind == OpKind::kIndexProbe) {
       access.decision.estimated_cost *= UnprunedFraction(*main);
     }
     sink->children.push_back(std::move(main));
     if (access.covered_rows < state.num_rows) {
       sink->children.push_back(MakeScan(state, OpKind::kDeltaScan,
-                                        access.covered_rows, terms, expr,
+                                        access.covered_rows, terms, parsed,
                                         request.semantics));
     }
   }

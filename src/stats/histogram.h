@@ -11,7 +11,7 @@ namespace incdb {
 
 /// Exact per-attribute value histogram (cardinalities in incdb are small
 /// enough to keep full counts), including the missing bucket. The basis of
-/// selectivity estimation and the index advisor's cost model.
+/// selectivity estimation and the index advisor's size model.
 class AttributeHistogram {
  public:
   /// Builds from a column in one pass.

@@ -15,7 +15,7 @@ namespace incdb {
 ///
 ///   E[words] ≈ G * (pl + p0*(1-p0) + p1*(1-p1)),  G = ceil(n/31)
 ///
-/// This is the model behind the index advisor's size and cost estimates;
+/// This is the model behind the index advisor's size estimates;
 /// it matches measured sizes within ~20% for independent bits and degrades
 /// gracefully (over-estimating) for clustered bitmaps.
 double ExpectedWahWords(uint64_t bits, double density);

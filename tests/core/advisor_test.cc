@@ -6,12 +6,69 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
+#include "core/database.h"
 #include "core/executor.h"
 #include "query/workload.h"
 #include "table/generator.h"
 
 namespace incdb {
 namespace {
+
+/// The query IndexAdvisor::Estimate prices a profile on: one term on each
+/// leading attribute, as wide as the profile's selectivity makes it,
+/// centred in the domain with the odd value left over above it.
+QueryRequest ProfileRequest(const Table& table,
+                            const WorkloadProfile& profile) {
+  std::vector<NamedTerm> terms;
+  for (size_t a = 0; a < std::min(profile.dims, table.num_attributes());
+       ++a) {
+    const AttributeSpec& spec = table.schema().attribute(a);
+    const Value cardinality = static_cast<Value>(spec.cardinality);
+    const Value width =
+        profile.point_queries
+            ? 1
+            : std::clamp(static_cast<Value>(std::lround(
+                             profile.attribute_selectivity * cardinality)),
+                         Value{1}, cardinality);
+    const Value lo = 1 + (cardinality - width) / 2;
+    terms.push_back({spec.name, lo, lo + width - 1});
+  }
+  return QueryRequest::Terms(std::move(terms), profile.semantics);
+}
+
+/// A store holding every kind the router can serve.
+Database DatabaseWithEveryKind(const Table& table) {
+  Database db = Database::FromTable(table).value();
+  for (IndexKind kind :
+       {IndexKind::kBitmapEquality, IndexKind::kBitmapRange,
+        IndexKind::kBitmapInterval, IndexKind::kBitmapBitSliced,
+        IndexKind::kBitmapMultiComponent, IndexKind::kBitmapHierarchical,
+        IndexKind::kVaFile, IndexKind::kVaPlusFile}) {
+    EXPECT_TRUE(db.BuildIndex(kind).ok()) << IndexKindToString(kind);
+  }
+  return db;
+}
+
+/// One cost model: the router serves the profile's query from the kind the
+/// advisor recommends, at the cost the advisor predicted for that kind.
+void ExpectRouterServesRecommendation(const Database& db,
+                                      const IndexAdvisor& advisor,
+                                      const WorkloadProfile& profile) {
+  const Result<QueryResult> result =
+      db.Run(ProfileRequest(db.table(), profile));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const RoutingDecision& routing = result.value().routing;
+  const IndexKind pick = advisor.Recommend(profile);
+  EXPECT_EQ(routing.index_kind, pick)
+      << "router " << IndexKindToString(routing.index_kind) << ", advisor "
+      << IndexKindToString(pick);
+  EXPECT_EQ(routing.estimated_cost,
+            advisor.Estimate(pick, profile).query_cost);
+}
 
 TEST(AdvisorTest, SizePredictionsTrackRealSizesOnUniformData) {
   const Table table = GenerateTable(UniformSpec(20000, 20, 0.2, 6, 921)).value();
@@ -60,10 +117,37 @@ TEST(AdvisorTest, RecommendsBitmapOverScanAtScale) {
   profile.dims = 4;
   profile.attribute_selectivity = 0.2;
   const IndexKind pick = advisor.Recommend(profile);
-  EXPECT_TRUE(pick == IndexKind::kBitmapRange ||
-              pick == IndexKind::kBitmapInterval ||
-              pick == IndexKind::kBitmapEquality)
-      << IndexKindToString(pick);
+  EXPECT_NE(pick, IndexKind::kSequentialScan);
+  ExpectRouterServesRecommendation(DatabaseWithEveryKind(table), advisor,
+                                   profile);
+}
+
+TEST(AdvisorTest, RouterServesRecommendedKindAtPredictedCost) {
+  const Table table = GenerateTable(UniformSpec(20000, 20, 0.2, 8, 941)).value();
+  const IndexAdvisor advisor(table);
+  const Database db = DatabaseWithEveryKind(table);
+  struct Shape {
+    const char* label;
+    size_t dims;
+    bool point_queries;
+    double attribute_selectivity;
+  };
+  for (const Shape& shape : {Shape{"point_4d", 4, true, 0.0},
+                             Shape{"narrow_range_4d", 4, false, 0.10},
+                             Shape{"wide_range_4d", 4, false, 0.50},
+                             Shape{"range_8d", 8, false, 0.20}}) {
+    for (MissingSemantics semantics :
+         {MissingSemantics::kMatch, MissingSemantics::kNoMatch}) {
+      SCOPED_TRACE(std::string(shape.label) + " " +
+                   std::string(MissingSemanticsToString(semantics)));
+      WorkloadProfile profile;
+      profile.dims = shape.dims;
+      profile.point_queries = shape.point_queries;
+      profile.attribute_selectivity = shape.attribute_selectivity;
+      profile.semantics = semantics;
+      ExpectRouterServesRecommendation(db, advisor, profile);
+    }
+  }
 }
 
 TEST(AdvisorTest, RangeQueriesPreferRangeFamilyOverEquality) {

@@ -4,6 +4,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <thread>
+
+#include "simd/simd.h"
 
 namespace incdb {
 namespace bench {
@@ -18,6 +21,7 @@ struct JsonEntry {
 };
 
 std::string g_json_path;                 // NOLINT: bench-process lifetime
+uint64_t g_rows = 0;                     // NOLINT: last BenchRows() value
 std::vector<JsonEntry>* g_json_entries;  // NOLINT
 
 // Function-local static instead of a raw `new` so the storage is
@@ -75,7 +79,11 @@ void WriteJson() {
                  g_json_path.c_str());
     std::exit(1);
   }
-  out << "{\n  \"results\": [";
+  out << "{\n  \"host\": {\"nproc\": " << std::thread::hardware_concurrency()
+      << ", \"simd\": \"" << simd::LevelToString(simd::DetectedLevel())
+      << "\", \"build\": \"" << INCDB_BENCH_BUILD_TYPE
+      << "\", \"rows\": " << g_rows << ", \"queries\": " << BenchQueries()
+      << "},\n  \"results\": [";
   const std::vector<JsonEntry>& entries = *g_json_entries;
   for (size_t i = 0; i < entries.size(); ++i) {
     out << (i == 0 ? "\n" : ",\n");
@@ -90,12 +98,13 @@ void WriteJson() {
 }
 
 uint64_t BenchRows(uint64_t fallback) {
+  g_rows = fallback;
   const char* env = std::getenv("INCDB_BENCH_ROWS");
   if (env != nullptr) {
     const long long parsed = std::atoll(env);
-    if (parsed > 0) return static_cast<uint64_t>(parsed);
+    if (parsed > 0) g_rows = static_cast<uint64_t>(parsed);
   }
-  return fallback;
+  return g_rows;
 }
 
 size_t BenchQueries() {

@@ -29,8 +29,10 @@ void RecordResult(const std::string& bench, const std::string& config,
                   double millis, uint64_t bytes);
 
 /// Writes every recorded measurement to the --json path as
-/// {"results": [{"bench","config","millis","bytes"}, ...]}. No-op without
-/// --json. Call once at the end of main.
+/// {"host": {...}, "results": [{"bench","config","millis","bytes"}, ...]}.
+/// The host header names what the numbers ran on: cores, SIMD level, build
+/// type, and the rows and queries per configuration. No-op without --json.
+/// Call once at the end of main.
 void WriteJson();
 
 /// Number of rows benchmarks use, honoring the INCDB_BENCH_ROWS environment

@@ -1,6 +1,9 @@
 #include "bitmap/bitmap_index.h"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
+#include <span>
 
 #include "bitmap/slicer.h"
 #include "common/bitutil.h"
@@ -27,11 +30,118 @@ Status CheckOptions(const BitmapIndex::Options& options) {
   return Status::OK();
 }
 
+// Calls fn(row, value) for rows [0, num_rows) in order, a contiguous run
+// of cells at a time.
+template <typename Fn>
+void ForEachCell(const Column& column, uint64_t num_rows, Fn&& fn) {
+  for (uint64_t row = 0; row < num_rows;) {
+    const Column::Contiguous run = column.ContiguousAt(row);
+    const uint64_t end = std::min(num_rows, row + run.count);
+    for (uint64_t r = row; r < end; ++r) {
+      fn(static_cast<uint32_t>(r), run.data[r - row]);
+    }
+    row = end;
+  }
+}
+
+// One counting sort of a column's rows by value: slot v-1 holds the rows of
+// value v and slot C, the last, the missing rows — each ascending, since
+// rows are placed in row order.
+SlotRows SortRowsByValue(const Column& column, uint64_t num_rows) {
+  const uint32_t cardinality = column.cardinality();
+  // Missing (0) wraps past the domain to slot C; so would a corrupt value
+  // outside [1, C], which therefore can never write out of bounds.
+  auto slot_of = [cardinality](Value v) {
+    return std::min(static_cast<uint32_t>(v) - 1, cardinality);
+  };
+  // Counts go two entries up, so after the prefix sum begin[s+1] is slot
+  // s's start; placing a row bumps it to slot s+1's start, which leaves
+  // begin[s] = slot s's start for every s without a second offsets array.
+  SlotRows sorted;
+  sorted.begin.assign(static_cast<size_t>(cardinality) + 3, 0);
+  ForEachCell(column, num_rows,
+              [&](uint32_t, Value v) { ++sorted.begin[slot_of(v) + 2]; });
+  std::partial_sum(sorted.begin.begin(), sorted.begin.end(),
+                   sorted.begin.begin());
+  sorted.rows.resize(num_rows);
+  ForEachCell(column, num_rows, [&](uint32_t row, Value v) {
+    sorted.rows[sorted.begin[slot_of(v) + 1]++] = row;
+  });
+  sorted.begin.pop_back();
+  return sorted;
+}
+
+// Writes the sorted union of two disjoint ascending row lists to `out`.
+// Branch-free: the two sides of a hierarchical bin interleave at random,
+// which would defeat a branch predictor on every row.
+void MergeRows(std::span<const uint32_t> a, std::span<const uint32_t> b,
+               uint32_t* out) {
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    const uint32_t x = a[i];
+    const uint32_t y = b[j];
+    const bool take_b = y < x;
+    *out++ = take_b ? y : x;
+    i += take_b ? 0 : 1;
+    j += take_b ? 1 : 0;
+  }
+  out = std::copy(a.begin() + i, a.end(), out);
+  std::copy(b.begin() + j, b.end(), out);
+}
+
+// Hierarchical level l+1 from level l's first `num_slots` slots: bin b is
+// the merge of bins 2b and 2b+1 (the clipped top bin has no sibling), so
+// it starts where bin 2b did.
+SlotRows MergeSlotPairs(const SlotRows& level, uint32_t num_slots) {
+  const size_t parents = bitutil::CeilDiv(num_slots, 2);
+  SlotRows up;
+  up.begin.resize(parents + 1);
+  up.rows.resize(level.begin[num_slots]);
+  for (size_t b = 0; b < parents; ++b) {
+    up.begin[b] = level.begin[2 * b];
+    const std::span<const uint32_t> left = level[2 * b];
+    const std::span<const uint32_t> right =
+        2 * b + 1 < num_slots ? level[2 * b + 1] : std::span<const uint32_t>();
+    MergeRows(left, right, up.rows.data() + up.begin[b]);
+  }
+  up.begin[parents] = level.begin[num_slots];
+  return up;
+}
+
+// A multi-component axis: slot s unions the values whose digit on this axis
+// is s — runs of `divisor` consecutive values, one every num_slots *
+// divisor — in one group-word pass.
+std::vector<WahBitVector> EncodeDigitAxis(const SlotRows& by_value,
+                                          uint32_t cardinality,
+                                          const Slicer::Axis& axis,
+                                          uint64_t num_rows) {
+  std::vector<WahBitVector> bitmaps;
+  bitmaps.reserve(axis.num_slots);
+  GroupWords slot_words(num_rows);
+  const uint64_t stride = uint64_t{axis.num_slots} * axis.divisor;
+  for (uint32_t s = 0; s < axis.num_slots; ++s) {
+    if (s > 0) slot_words.Reset();
+    for (uint64_t first = s * axis.divisor; first < cardinality;
+         first += stride) {
+      const uint64_t last =
+          std::min<uint64_t>(first + axis.divisor, cardinality);
+      for (uint64_t v = first; v < last; ++v) slot_words.Set(by_value[v]);
+    }
+    bitmaps.push_back(slot_words.Encode());
+  }
+  return bitmaps;
+}
+
 }  // namespace
 
 Result<BitmapIndex> BitmapIndex::Build(const Table& table, Options options) {
   if (table.num_rows() == 0) {
     return Status::InvalidArgument("cannot build a bitmap index on an empty table");
+  }
+  if (table.num_rows() > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "cannot build a bitmap index past 2^32 - 1 rows (row ids are 32-bit)");
   }
   INCDB_RETURN_IF_ERROR(CheckOptions(options));
 
@@ -42,11 +152,12 @@ Result<BitmapIndex> BitmapIndex::Build(const Table& table, Options options) {
   slicers.reserve(table.num_attributes());
 
   for (size_t a = 0; a < table.num_attributes(); ++a) {
-    const Column& column = table.column(a);
-    const uint32_t cardinality = column.cardinality();
+    const uint32_t cardinality = table.column(a).cardinality();
+    SlotRows by_value = SortRowsByValue(table.column(a), n);
+    const std::span<const uint32_t> missing = by_value[cardinality];
     AttributeBitmaps ab;
     ab.cardinality = cardinality;
-    ab.has_missing = column.MissingCount() > 0;
+    ab.has_missing = !missing.empty();
 
     if (options.missing_strategy == MissingStrategy::kAllOnes &&
         ab.has_missing && cardinality == 1) {
@@ -56,42 +167,43 @@ Result<BitmapIndex> BitmapIndex::Build(const Table& table, Options options) {
           "cardinality is 1 (paper §4.2)");
     }
 
-    // The slicer maps each value to one slot per axis; one encoder per
-    // axis turns the slot stream into that axis's bitvectors.
     INCDB_ASSIGN_OR_RETURN(Slicer slicer,
                            Slicer::Create(options.scheme, cardinality));
-    std::vector<AxisEncoder> encoders;
-    encoders.reserve(slicer.num_axes());
-    for (size_t axis = 0; axis < slicer.num_axes(); ++axis) {
-      encoders.emplace_back(options.encoding, slicer.num_slots(axis));
-    }
-    SetBitBuilder missing_builder;
-    for (uint64_t r = 0; r < n; ++r) {
-      const Value v = column.Get(r);
-      if (IsMissing(v)) {
-        switch (options.missing_strategy) {
-          case MissingStrategy::kExtraBitmap:
-            // B_{i,0} once per attribute, never per axis.
-            missing_builder.SetBitAt(r);
-            encoders[0].AddMissingRow(r);  // range: missing counts as value 0
-            break;
-          case MissingStrategy::kAllOnes:  // direct scheme only
-            for (uint32_t s = 0; s < cardinality; ++s) encoders[0].AddRow(r, s);
-            break;
-          case MissingStrategy::kAllZeros:
-            break;  // absent from every bitmap
-        }
-      } else {
-        for (size_t axis = 0; axis < encoders.size(); ++axis) {
-          encoders[axis].AddRow(r, slicer.SlotOf(v, axis));
-        }
-      }
-    }
-    ab.axes.reserve(encoders.size());
-    for (AxisEncoder& encoder : encoders) ab.axes.push_back(encoder.Finish(n));
     if (ab.has_missing &&
         options.missing_strategy == MissingStrategy::kExtraBitmap) {
-      ab.missing = missing_builder.Finish(n);
+      // B_{i,0} once per attribute, never per axis.
+      ab.missing = WahBitVector::FromPositions(missing, n);
+    }
+    ab.axes.reserve(slicer.num_axes());
+    switch (options.scheme) {
+      case SlotScheme::kDirect: {
+        // Missing rows are set in every stored bitmap under range encoding
+        // (missing counts as value 0) and under kAllOnes; absent otherwise.
+        const bool everywhere =
+            options.encoding == BitmapEncoding::kRange ||
+            options.missing_strategy == MissingStrategy::kAllOnes;
+        ab.axes.push_back(EncodeAxis(options.encoding, by_value, cardinality,
+                                     everywhere ? missing
+                                                : std::span<const uint32_t>(),
+                                     n));
+        break;
+      }
+      case SlotScheme::kHierarchical:
+        // Level 0 is the value slots themselves; each level above merges
+        // the one below pairwise.
+        for (size_t axis = 0; axis < slicer.num_axes(); ++axis) {
+          if (axis > 0) {
+            by_value = MergeSlotPairs(by_value, slicer.num_slots(axis - 1));
+          }
+          ab.axes.push_back(EncodeAxis(BitmapEncoding::kEquality, by_value,
+                                       slicer.num_slots(axis), {}, n));
+        }
+        break;
+      case SlotScheme::kMultiComponent:
+        for (const Slicer::Axis& axis : slicer.axes()) {
+          ab.axes.push_back(EncodeDigitAxis(by_value, cardinality, axis, n));
+        }
+        break;
     }
     attributes.push_back(std::move(ab));
     slicers.push_back(std::move(slicer));
@@ -551,7 +663,7 @@ Result<BitmapIndex> BitmapIndex::FromParts(
     }
     for (size_t axis = 0; axis < slicer.num_axes(); ++axis) {
       const uint64_t expected =
-          AxisEncoder::NumBitmaps(options.encoding, slicer.num_slots(axis));
+          NumAxisBitmaps(options.encoding, slicer.num_slots(axis));
       if (ab.axes[axis].size() != expected) {
         return Status::IOError(where + " axis " + std::to_string(axis) +
                                " has " + std::to_string(ab.axes[axis].size()) +

@@ -55,7 +55,7 @@ class BitmapIndex : public IncompleteIndex {
     std::optional<WahBitVector> missing;
     /// axes[a] = the encoded bitvectors of slicer axis a. The direct scheme
     /// has one axis — equality: B_{i,1}..B_{i,C}; range: B_{i,1}..B_{i,C-1};
-    /// interval and bit-sliced per AxisEncoder. Composite axes are
+    /// interval and bit-sliced per EncodeAxis. Composite axes are
     /// equality-encoded: axes[a][s] = rows whose value maps to slot s.
     std::vector<std::vector<WahBitVector>> axes;
   };

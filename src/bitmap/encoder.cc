@@ -29,79 +29,101 @@ uint32_t IntervalEncodingN(uint32_t cardinality) {
   return cardinality - IntervalEncodingM(cardinality) + 1;
 }
 
-AxisEncoder::AxisEncoder(BitmapEncoding encoding, uint32_t num_slots)
-    : encoding_(encoding), num_slots_(num_slots) {
-  // Range builds on the full C-deep equality scaffold; Finish folds it into
-  // the C-1 stored cumulative bitmaps.
-  builders_.resize(encoding == BitmapEncoding::kRange
-                       ? num_slots
-                       : static_cast<size_t>(NumBitmaps(encoding, num_slots)));
+GroupWords::GroupWords(uint64_t num_rows)
+    : words_(bitutil::CeilDiv(num_rows, WahBitVector::kGroupBits)),
+      num_rows_(num_rows) {}
+
+void GroupWords::Set(std::span<const uint32_t> rows) {
+  constexpr uint32_t kGroup = WahBitVector::kGroupBits;
+  for (uint32_t row : rows) {
+    words_[row / kGroup] |= uint32_t{1} << (row % kGroup);
+  }
 }
 
-void AxisEncoder::AddRow(uint64_t row, uint32_t slot) {
-  INCDB_DCHECK(slot < num_slots_);
-  switch (encoding_) {
-    case BitmapEncoding::kEquality:
-    case BitmapEncoding::kRange:
-      // Range shares the equality scaffold; Finish folds it into the
-      // cumulative "value <= j" ladder.
-      builders_[slot].SetBitAt(row);
-      break;
-    case BitmapEncoding::kInterval: {
-      // Slot s (value s+1) belongs to I_j for j in [s-m+2, s+1] clamped to
-      // the stored window [1, n].
-      const uint32_t value = slot + 1;
-      const uint32_t m = IntervalEncodingM(num_slots_);
-      const uint32_t n_bitmaps = static_cast<uint32_t>(builders_.size());
-      const uint32_t first = value >= m ? value - m + 1 : 1;
-      const uint32_t last = std::min(n_bitmaps, value);
-      for (uint32_t j = first; j <= last; ++j) builders_[j - 1].SetBitAt(row);
-      break;
-    }
-    case BitmapEncoding::kBitSliced: {
-      // Binary-encode code = slot+1 (the all-zeros code stays reserved for
-      // missing) into the slice builders.
-      for (uint32_t code = slot + 1; code != 0; code &= code - 1) {
-        builders_[static_cast<size_t>(bitutil::CountTrailingZeros(code))]
-            .SetBitAt(row);
+void GroupWords::Clear(std::span<const uint32_t> rows) {
+  constexpr uint32_t kGroup = WahBitVector::kGroupBits;
+  for (uint32_t row : rows) {
+    words_[row / kGroup] &= ~(uint32_t{1} << (row % kGroup));
+  }
+}
+
+void GroupWords::Reset() { std::fill(words_.begin(), words_.end(), 0u); }
+
+WahBitVector GroupWords::Encode() const {
+  return WahBitVector::FromGroups(words_, num_rows_);
+}
+
+std::vector<WahBitVector> EncodeAxis(BitmapEncoding encoding,
+                                     const SlotRows& slots, uint32_t num_slots,
+                                     std::span<const uint32_t> everywhere,
+                                     uint64_t num_rows) {
+  INCDB_DCHECK(slots.num_slots() >= num_slots);
+  std::vector<WahBitVector> bitmaps;
+  bitmaps.reserve(static_cast<size_t>(NumAxisBitmaps(encoding, num_slots)));
+  switch (encoding) {
+    case BitmapEncoding::kEquality: {
+      std::vector<uint32_t> merged;
+      for (uint32_t s = 0; s < num_slots; ++s) {
+        std::span<const uint32_t> rows = slots[s];
+        if (!everywhere.empty()) {
+          merged.resize(rows.size() + everywhere.size());
+          std::merge(rows.begin(), rows.end(), everywhere.begin(),
+                     everywhere.end(), merged.begin());
+          rows = merged;
+        }
+        bitmaps.push_back(WahBitVector::FromPositions(rows, num_rows));
       }
       break;
     }
-  }
-}
-
-void AxisEncoder::AddMissingRow(uint64_t row) {
-  if (encoding_ != BitmapEncoding::kRange) return;
-  range_missing_.SetBitAt(row);
-  has_range_missing_ = true;
-}
-
-std::vector<WahBitVector> AxisEncoder::Finish(uint64_t num_rows) {
-  std::vector<WahBitVector> bitmaps;
-  bitmaps.reserve(builders_.size());
-  if (encoding_ == BitmapEncoding::kRange) {
-    // B_j = "value <= j" as a running OR over the equality scaffold, seeded
-    // from the missing rows (missing counts as value 0, below the domain);
-    // the all-ones top bitmap B_C is dropped (paper §4.3).
-    WahBitVector running = has_range_missing_
-                               ? range_missing_.Finish(num_rows)
-                               : WahBitVector::Fill(num_rows, false);
-    for (uint32_t j = 1; j <= num_slots_ - 1; ++j) {
-      running = running.Or(builders_[j - 1].Finish(num_rows));
-      bitmaps.push_back(running);
+    case BitmapEncoding::kRange: {
+      // B_j = "value <= j": the ladder starts from the rows below the
+      // domain and gains slot j-1 at step j; the all-ones top bitmap B_C is
+      // dropped (paper §4.3).
+      GroupWords ladder(num_rows);
+      ladder.Set(everywhere);
+      for (uint32_t j = 1; j < num_slots; ++j) {
+        ladder.Set(slots[j - 1]);
+        bitmaps.push_back(ladder.Encode());
+      }
+      break;
     }
-    // The scaffold holds num_slots_ builders but only the first
-    // num_slots_-1 feed stored bitmaps (the top one would OR into the
-    // dropped all-ones B_C).
-    return bitmaps;
-  }
-  for (SetBitBuilder& builder : builders_) {
-    bitmaps.push_back(builder.Finish(num_rows));
+    case BitmapEncoding::kInterval: {
+      // I_j = values [j, j+m-1] = slots [j-1, j+m-2]: from one window to the
+      // next, slot j+m-2 comes in and slot j-2 goes out.
+      INCDB_DCHECK(everywhere.empty());
+      const uint32_t m = IntervalEncodingM(num_slots);
+      const uint32_t n = IntervalEncodingN(num_slots);
+      GroupWords window(num_rows);
+      for (uint32_t s = 0; s + 1 < m; ++s) window.Set(slots[s]);
+      for (uint32_t j = 1; j <= n; ++j) {
+        if (j > 1) window.Clear(slots[j - 2]);
+        window.Set(slots[j + m - 2]);
+        bitmaps.push_back(window.Encode());
+      }
+      break;
+    }
+    case BitmapEncoding::kBitSliced: {
+      // Slice k holds the rows whose code slot+1 has bit k set (the
+      // all-zeros code stays reserved for missing): each slot's rows go
+      // into the slices of its code's set bits.
+      INCDB_DCHECK(everywhere.empty());
+      std::vector<GroupWords> slices(
+          static_cast<size_t>(NumAxisBitmaps(encoding, num_slots)),
+          GroupWords(num_rows));
+      for (uint32_t s = 0; s < num_slots; ++s) {
+        for (uint32_t code = s + 1; code != 0; code &= code - 1) {
+          slices[static_cast<size_t>(bitutil::CountTrailingZeros(code))].Set(
+              slots[s]);
+        }
+      }
+      for (const GroupWords& slice : slices) bitmaps.push_back(slice.Encode());
+      break;
+    }
   }
   return bitmaps;
 }
 
-uint64_t AxisEncoder::NumBitmaps(BitmapEncoding encoding, uint32_t num_slots) {
+uint64_t NumAxisBitmaps(BitmapEncoding encoding, uint32_t num_slots) {
   switch (encoding) {
     case BitmapEncoding::kEquality:
       return num_slots;

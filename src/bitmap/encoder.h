@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/logging.h"
 #include "compression/wah_bitvector.h"
 #include "core/incomplete_index.h"
 #include "query/query.h"
@@ -17,8 +16,8 @@ namespace incdb {
 /// Bitmap record encoding (paper §4.2 / §4.3, plus the interval encoding
 /// from the paper's related work [5]) — the *encoding* axis of the bitmap
 /// layer's binning x encoding architecture (docs/ENCODINGS.md). An encoder
-/// turns one slicer axis's slot stream into WAH bitvectors (AxisEncoder)
-/// and lowers a slot interval over those bitvectors to compressed logical
+/// turns one slicer axis's slot rows into WAH bitvectors (EncodeAxis) and
+/// lowers a slot interval over those bitvectors to compressed logical
 /// operations (EvaluateSlotInterval). The engine is written once against
 /// the slicer's slot domain; every index kind — the paper's four direct
 /// ones and the multi-component / hierarchical composites — rides it.
@@ -66,27 +65,38 @@ std::string_view BitmapEncodingToString(BitmapEncoding encoding);
 uint32_t IntervalEncodingM(uint32_t cardinality);
 uint32_t IntervalEncodingN(uint32_t cardinality);
 
-/// Incremental builder for one WAH bitvector: appends set bits at ascending
-/// row positions, run-length-filling the gaps, so build cost is proportional
-/// to the number of set bits rather than the number of rows.
-class SetBitBuilder {
- public:
-  void SetBitAt(uint64_t row) {
-    INCDB_DCHECK(row >= appended_);
-    bits_.AppendRun(false, row - appended_);
-    bits_.AppendBit(true);
-    appended_ = row + 1;
-  }
+/// Row positions grouped by slot — the build's counting-sort layout:
+/// slot s holds rows[begin[s] .. begin[s+1]), strictly ascending. One
+/// sequential pass per slot then writes its bitvector (FromPositions), so
+/// build cost is proportional to the rows and output words, never to
+/// rows x slots.
+struct SlotRows {
+  std::vector<uint32_t> begin;  // num_slots + 1 offsets into rows
+  std::vector<uint32_t> rows;
 
-  WahBitVector Finish(uint64_t num_rows) {
-    bits_.AppendRun(false, num_rows - appended_);
-    appended_ = num_rows;
-    return std::move(bits_);
+  size_t num_slots() const { return begin.size() - 1; }
+  std::span<const uint32_t> operator[](size_t slot) const {
+    return {rows.data() + begin[slot], rows.data() + begin[slot + 1]};
   }
+};
+
+/// One bitvector under construction as uncompressed WAH group words: the
+/// group-word ladder behind the range, interval and bit-sliced builds and
+/// the multi-component unions. Setting or clearing a slot's rows costs one
+/// word update per row; Encode writes the canonical WAH form in one pass
+/// over ceil(num_rows / 31) words.
+class GroupWords {
+ public:
+  explicit GroupWords(uint64_t num_rows);
+
+  void Set(std::span<const uint32_t> rows);
+  void Clear(std::span<const uint32_t> rows);
+  void Reset();
+  WahBitVector Encode() const;
 
  private:
-  WahBitVector bits_;
-  uint64_t appended_ = 0;
+  std::vector<uint32_t> words_;
+  uint64_t num_rows_;
 };
 
 /// Adapts the fused WAH kernels' per-operation accounting (WahOpStats) into
@@ -112,43 +122,26 @@ class WahStatsScope {
   WahOpStats op_stats_;
 };
 
-/// Builds one encoded axis from a slicer's slot stream: rows arrive in
-/// ascending order, each with its slot id on this axis; missing rows are
-/// simply not added (except under the range encoding's missing-as-value-0
-/// trick, which AddMissingRow feeds). Finish returns the axis's bitvectors
-/// in the encoding's canonical layout — bit-identical to the pre-refactor
-/// per-encoding build loops.
-class AxisEncoder {
- public:
-  AxisEncoder(BitmapEncoding encoding, uint32_t num_slots);
+/// Encodes one axis from its slot rows (slots [0, num_slots) of `slots`;
+/// a caller's table may carry more, e.g. the missing bucket) in the
+/// encoding's canonical layout. `everywhere` holds rows set in every
+/// bitmap the axis stores, ascending: the missing rows under range
+/// encoding (missing counts as value 0, below the domain) and under the
+/// kAllOnes ablation; empty otherwise. Equality writes each slot straight
+/// from its rows (merged with `everywhere`); range keeps the running
+/// "value <= j" ladder as group words, ORs in slot j's rows and encodes
+/// once per step; interval slides an m-slot window over the same ladder;
+/// bit-sliced unions the slots whose code has bit k set.
+std::vector<WahBitVector> EncodeAxis(BitmapEncoding encoding,
+                                     const SlotRows& slots, uint32_t num_slots,
+                                     std::span<const uint32_t> everywhere,
+                                     uint64_t num_rows);
 
-  /// Marks `row` as holding slot `slot` (in [0, num_slots)). Rows must
-  /// arrive in ascending order; a row may be added to several slots only
-  /// under the equality encoding (the kAllOnes ablation strategy).
-  void AddRow(uint64_t row, uint32_t slot);
-
-  /// Range encoding only: missing counts as value 0, below the whole
-  /// domain, so the row must be 1 in every kept "value <= j" bitmap. A
-  /// no-op for the other encodings (their missing rows are absent
-  /// everywhere).
-  void AddMissingRow(uint64_t row);
-
-  /// Finalizes all bitvectors to `num_rows` bits.
-  std::vector<WahBitVector> Finish(uint64_t num_rows);
-
-  /// Bitvectors the encoding stores for a slot domain of `num_slots`:
-  /// equality C, range C-1, interval n = C - ceil(C/2) + 1, bit-sliced
-  /// ceil(lg(C+1)). The shape contract FromParts and the storage reader
-  /// validate against.
-  static uint64_t NumBitmaps(BitmapEncoding encoding, uint32_t num_slots);
-
- private:
-  BitmapEncoding encoding_;
-  uint32_t num_slots_;
-  std::vector<SetBitBuilder> builders_;
-  SetBitBuilder range_missing_;  // kRange: seed of the running-OR finish
-  bool has_range_missing_ = false;
-};
+/// Bitvectors the encoding stores for a slot domain of `num_slots`:
+/// equality C, range C-1, interval n = C - ceil(C/2) + 1, bit-sliced
+/// ceil(lg(C+1)). The shape contract FromParts and the storage reader
+/// validate against.
+uint64_t NumAxisBitmaps(BitmapEncoding encoding, uint32_t num_slots);
 
 /// A borrowed view of one encoded axis at query time: the slot-domain
 /// bitvectors plus the attribute's missing bitvector (B_0, null when the

@@ -443,14 +443,25 @@ Status ReadWord(BinaryReader& reader, uint64_t* word) {
 }  // namespace
 
 template <typename WordT>
+template <typename Fn>
+void BasicWahBitVector<WordT>::EmitExact(Fn&& emit) {
+  thread_local std::vector<WordT> buffer;
+  buffer.clear();
+  words_.swap(buffer);
+  emit();
+  words_.swap(buffer);
+  words_.assign(buffer.begin(), buffer.end());
+}
+
+template <typename WordT>
 BasicWahBitVector<WordT> BasicWahBitVector<WordT>::Compress(
     const BitVector& bits) {
-  BasicWahBitVector out;
   const uint64_t n = bits.size();
   const std::vector<uint64_t>& words = bits.words();
-  // Extract consecutive (W-1)-bit groups from the 64-bit word array.
-  const uint64_t full_groups = n / kGroupBits;
-  for (uint64_t g = 0; g < full_groups; ++g) {
+  // Extract consecutive (W-1)-bit groups from the 64-bit word array; the
+  // partial last group keeps whatever lies past n, which FromGroups masks.
+  std::vector<WordT> groups(bitutil::CeilDiv(n, kGroupBits));
+  for (uint64_t g = 0; g < groups.size(); ++g) {
     const uint64_t bit_pos = g * kGroupBits;
     const uint64_t word_idx = bit_pos / 64;
     const int offset = static_cast<int>(bit_pos % 64);
@@ -458,21 +469,63 @@ BasicWahBitVector<WordT> BasicWahBitVector<WordT>::Compress(
     if (offset + kGroupBits > 64 && word_idx + 1 < words.size()) {
       chunk |= words[word_idx + 1] << (64 - offset);
     }
-    const WordT literal =
-        static_cast<WordT>(chunk & bitutil::LowBitsMask(kGroupBits));
-    if (literal == 0) {
-      out.EmitFill(false, 1);
-    } else if (literal == Traits<WordT>::kFullLiteral) {
-      out.EmitFill(true, 1);
-    } else {
-      out.EmitLiteral(literal);
+    groups[g] = static_cast<WordT>(chunk & bitutil::LowBitsMask(kGroupBits));
+  }
+  return FromGroups(groups, n);
+}
+
+template <typename WordT>
+BasicWahBitVector<WordT> BasicWahBitVector<WordT>::FromGroups(
+    std::span<const WordT> groups, uint64_t size) {
+  INCDB_CHECK(groups.size() == bitutil::CeilDiv(size, kGroupBits));
+  BasicWahBitVector out;
+  const uint64_t full_groups = size / kGroupBits;
+  out.EmitExact([&] { out.EmitGroups(groups.data(), full_groups); });
+  out.active_bits_ = static_cast<int>(size % kGroupBits);
+  if (out.active_bits_ > 0) {
+    out.active_word_ = static_cast<WordT>(
+        groups[full_groups] & bitutil::LowBitsMask(out.active_bits_));
+  }
+  out.size_ = size;
+  return out;
+}
+
+template <typename WordT>
+BasicWahBitVector<WordT> BasicWahBitVector<WordT>::FromPositions(
+    std::span<const uint32_t> positions, uint64_t size) {
+  BasicWahBitVector out;
+  const uint64_t full_groups = size / kGroupBits;
+  const uint64_t n = positions.size();
+  uint64_t i = 0;
+  out.EmitExact([&] {
+    uint64_t next_group = 0;  // first group not yet emitted
+    while (i < n) {
+      const uint64_t group = positions[i] / kGroupBits;
+      if (group >= full_groups) break;
+      INCDB_DCHECK(group >= next_group);
+      const uint64_t base = group * kGroupBits;
+      WordT word = 0;
+      do {
+        INCDB_DCHECK(i == 0 || positions[i] > positions[i - 1]);
+        word |= WordT{1} << (positions[i] - base);
+      } while (++i < n && positions[i] < base + kGroupBits);
+      if (group > next_group) out.EmitFill(false, group - next_group);
+      if (word == Traits<WordT>::kFullLiteral) {
+        out.EmitFill(true, 1);
+      } else {
+        out.words_.push_back(word);
+      }
+      next_group = group + 1;
     }
+    out.EmitFill(false, full_groups - next_group);
+  });
+  const uint64_t base = full_groups * kGroupBits;
+  for (; i < n; ++i) {
+    INCDB_DCHECK(positions[i] >= base && positions[i] < size);
+    out.active_word_ |= WordT{1} << (positions[i] - base);
   }
-  out.size_ = full_groups * kGroupBits;
-  // Trailing partial group into the active word.
-  for (uint64_t i = full_groups * kGroupBits; i < n; ++i) {
-    out.AppendBit(bits.Get(i));
-  }
+  out.active_bits_ = static_cast<int>(size - base);
+  out.size_ = size;
   return out;
 }
 
@@ -496,33 +549,32 @@ void BasicWahBitVector<WordT>::AppendBit(bool bit) {
 template <typename WordT>
 void BasicWahBitVector<WordT>::AppendRun(bool bit, uint64_t count) {
   Detach();
-  // Align to a group boundary first.
-  while (count > 0 && active_bits_ != 0) {
-    AppendBit(bit);
-    --count;
+  if (count == 0) return;
+  const WordT ones = bit ? Traits<WordT>::kFullLiteral : WordT{0};
+  // Top up the active group with one mask, flushing it when it fills.
+  if (active_bits_ != 0) {
+    const int head = static_cast<int>(
+        std::min<uint64_t>(count, kGroupBits - active_bits_));
+    active_word_ |= static_cast<WordT>(
+        (ones & bitutil::LowBitsMask(head)) << active_bits_);
+    active_bits_ += head;
+    size_ += static_cast<uint64_t>(head);
+    count -= static_cast<uint64_t>(head);
+    if (active_bits_ < kGroupBits) return;
+    FlushActiveGroup();
   }
   const uint64_t groups = count / kGroupBits;
-  if (groups > 0) {
-    EmitFill(bit, groups);
-    size_ += groups * kGroupBits;
-    count -= groups * kGroupBits;
-  }
-  while (count > 0) {
-    AppendBit(bit);
-    --count;
-  }
+  EmitFill(bit, groups);
+  // The partial tail opens a fresh active group (the old one is flushed).
+  active_bits_ = static_cast<int>(count % kGroupBits);
+  active_word_ = static_cast<WordT>(ones & bitutil::LowBitsMask(active_bits_));
+  size_ += count;
 }
 
 template <typename WordT>
 void BasicWahBitVector<WordT>::FlushActiveGroup() {
   INCDB_DCHECK(active_bits_ == kGroupBits);
-  if (active_word_ == 0) {
-    EmitFill(false, 1);
-  } else if (active_word_ == Traits<WordT>::kFullLiteral) {
-    EmitFill(true, 1);
-  } else {
-    EmitLiteral(active_word_);
-  }
+  EmitGroups(&active_word_, 1);
   active_word_ = 0;
   active_bits_ = 0;
 }
@@ -553,6 +605,23 @@ void BasicWahBitVector<WordT>::EmitLiteral(WordT literal) {
   INCDB_DCHECK(!borrowed());
   INCDB_DCHECK((literal & Traits<WordT>::kFillFlag) == 0);
   words_.push_back(literal);
+}
+
+template <typename WordT>
+void BasicWahBitVector<WordT>::EmitGroups(const WordT* groups, uint64_t n) {
+  uint64_t i = 0;
+  while (i < n) {
+    const WordT v = groups[i];
+    if (v == 0 || v == Traits<WordT>::kFullLiteral) {
+      uint64_t j = i + 1;
+      while (j < n && groups[j] == v) ++j;
+      EmitFill(v != 0, j - i);
+      i = j;
+    } else {
+      EmitLiteral(v);
+      ++i;
+    }
+  }
 }
 
 template <typename WordT>
@@ -724,23 +793,10 @@ BasicWahBitVector<WordT> BasicWahBitVector<WordT>::FuseToVector(
       out.EmitLiteral(view);
     }
   };
-  // Re-encode a decoded window: fills for 0 / all-ones stretches, literals
-  // otherwise. EmitFill merges across window boundaries, so the output is
-  // canonical no matter how the engine partitioned the stream.
+  // EmitFill merges across window boundaries, so the output is canonical
+  // no matter how the engine partitioned the stream.
   auto emit_dense = [&out](const WordT* buf, uint64_t w) {
-    uint64_t i = 0;
-    while (i < w) {
-      const WordT v = buf[i];
-      if (v == 0 || v == Traits<WordT>::kFullLiteral) {
-        uint64_t j = i + 1;
-        while (j < w && buf[j] == v) ++j;
-        out.EmitFill(v != 0, j - i);
-        i = j;
-      } else {
-        out.EmitLiteral(v);
-        ++i;
-      }
-    }
+    out.EmitGroups(buf, w);
   };
   FuseHybrid<WordT>(operands, is_or, groups, emit_run, emit_dense, op_stats);
   out.size_ = groups * static_cast<uint64_t>(kGroupBits);

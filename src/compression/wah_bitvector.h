@@ -233,6 +233,20 @@ class BasicWahBitVector {
   /// Compresses a verbatim bitvector.
   static BasicWahBitVector Compress(const BitVector& bits);
 
+  /// Encodes uncompressed group words: `groups` holds ceil(size /
+  /// kGroupBits) words, word g carrying bits [g*kGroupBits, (g+1)*kGroupBits)
+  /// LSB-first with the top bit clear; the last word's bits past `size` are
+  /// ignored. All-zero / all-one stretches become fills, so the output is
+  /// canonical — what AppendBit would build bit by bit.
+  static BasicWahBitVector FromGroups(std::span<const WordT> groups,
+                                      uint64_t size);
+
+  /// A `size`-bit vector whose set bits are exactly `positions` (strictly
+  /// ascending, each < size), written one group at a time with the gaps
+  /// as fills: cost proportional to the set bits plus the output words.
+  static BasicWahBitVector FromPositions(std::span<const uint32_t> positions,
+                                         uint64_t size);
+
   /// A vector of `size` copies of `bit` (maximally compressed).
   static BasicWahBitVector Fill(uint64_t size, bool bit);
 
@@ -426,9 +440,17 @@ class BasicWahBitVector {
                               WahOpStats* op_stats);
 
   // Emits into words_ only (no size_ accounting), merging adjacent fills
-  // and converting all-zero / all-one literals to fills.
+  // and converting all-zero / all-one literals to fills. EmitGroups is the
+  // one group-word encoder behind FromGroups (and so Compress and the build
+  // ladders), the active-group flush and the fused kernels' dense sink.
   void EmitFill(bool bit, uint64_t groups);
   void EmitLiteral(WordT literal);
+  void EmitGroups(const WordT* groups, uint64_t n);
+  // Runs `emit` (which appends to words_) in a reused per-thread buffer and
+  // then copies the code words out at their exact size: one allocation per
+  // built vector instead of push_back's regrowth on cold memory.
+  template <typename Fn>
+  void EmitExact(Fn&& emit);
   void FlushActiveGroup();
 
   enum class OpKind { kAnd, kOr, kXor, kAndNot };

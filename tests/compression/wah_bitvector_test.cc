@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <vector>
+
 namespace incdb {
 namespace {
 
@@ -211,6 +215,94 @@ TEST(WahBitVectorTest, DebugStringShapes) {
   const std::string debug = wah.DebugString();
   EXPECT_NE(debug.find("F0x2"), std::string::npos);
   EXPECT_NE(debug.find("A:"), std::string::npos);
+}
+
+// The word-at-a-time builders checked against AppendBit, one bit at a time.
+template <typename WordT>
+class WahBuilderTest : public ::testing::Test {};
+using WordTypes = ::testing::Types<uint32_t, uint64_t>;
+TYPED_TEST_SUITE(WahBuilderTest, WordTypes);
+
+template <typename Vec>
+void ExpectSameEncoding(const Vec& got, const Vec& want) {
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(got.active_bits(), want.active_bits());
+  ASSERT_EQ(got.active_word(), want.active_word());
+  ASSERT_EQ(got.NumWords(), want.NumWords());
+  for (uint64_t i = 0; i < got.NumWords(); ++i) {
+    ASSERT_EQ(got.code_words()[i], want.code_words()[i]) << "word " << i;
+  }
+}
+
+TYPED_TEST(WahBuilderTest, AppendRunMatchesAppendBitAtEveryAlignment) {
+  using Vec = BasicWahBitVector<TypeParam>;
+  constexpr int kGroup = Vec::kGroupBits;
+  // The prefix is one whole group of `bit` (a fill the run may extend) and
+  // then `start` bits that are all `bit`, all !bit, or alternating, so the
+  // run lands on every active_bits() and may or may not complete a fill.
+  for (bool bit : {false, true}) {
+    for (int pattern = 0; pattern < 3; ++pattern) {
+      for (int start = 0; start < kGroup; ++start) {
+        Vec prefix;
+        for (int i = 0; i < kGroup; ++i) prefix.AppendBit(bit);
+        for (int i = 0; i < start; ++i) {
+          prefix.AppendBit(pattern == 0   ? bit
+                           : pattern == 1 ? !bit
+                                          : i % 2 == 0);
+        }
+        ASSERT_EQ(prefix.active_bits(), start);
+        for (uint64_t count = 0; count <= 3 * kGroup + 1; ++count) {
+          Vec got = prefix;
+          got.AppendRun(bit, count);
+          Vec want = prefix;
+          for (uint64_t i = 0; i < count; ++i) want.AppendBit(bit);
+          SCOPED_TRACE(::testing::Message()
+                       << "bit=" << bit << " pattern=" << pattern
+                       << " start=" << start << " count=" << count);
+          ExpectSameEncoding(got, want);
+        }
+      }
+    }
+  }
+}
+
+TYPED_TEST(WahBuilderTest, FromPositionsAndFromGroupsMatchAppendBit) {
+  using Vec = BasicWahBitVector<TypeParam>;
+  constexpr uint64_t kGroup = Vec::kGroupBits;
+  std::mt19937_64 rng(7);
+  // Densities from empty through clustered runs to all ones, at sizes on and
+  // around group boundaries.
+  for (uint64_t size :
+       {uint64_t{0}, uint64_t{1}, kGroup - 1, kGroup, kGroup + 1, 2 * kGroup,
+        5 * kGroup + 3, uint64_t{2000}}) {
+    for (int density : {0, 1, 50, 97, 100}) {
+      std::vector<bool> bits(size);
+      for (uint64_t i = 0; i < size; ++i) {
+        // Runs of 40 bits share one coin, so whole groups fill up too.
+        std::mt19937_64 run_rng(rng() ^ (i / 40));
+        bits[i] = static_cast<int>(run_rng() % 100) < density;
+      }
+      Vec want;
+      std::vector<uint32_t> positions;
+      std::vector<TypeParam> groups((size + kGroup - 1) / kGroup);
+      for (uint64_t i = 0; i < size; ++i) {
+        want.AppendBit(bits[i]);
+        if (!bits[i]) continue;
+        positions.push_back(static_cast<uint32_t>(i));
+        groups[i / kGroup] |= TypeParam{1} << (i % kGroup);
+      }
+      if (size % kGroup != 0) {
+        // FromGroups must ignore the last word's bits past `size`.
+        groups.back() |= static_cast<TypeParam>(
+            ~((TypeParam{1} << (size % kGroup)) - 1) &
+            ((TypeParam{1} << kGroup) - 1));
+      }
+      SCOPED_TRACE(::testing::Message() << "size=" << size
+                                        << " density=" << density);
+      ExpectSameEncoding(Vec::FromPositions(positions, size), want);
+      ExpectSameEncoding(Vec::FromGroups(groups, size), want);
+    }
+  }
 }
 
 }  // namespace

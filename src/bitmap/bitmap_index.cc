@@ -1,6 +1,7 @@
 #include "bitmap/bitmap_index.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <span>
@@ -133,6 +134,44 @@ std::vector<WahBitVector> EncodeDigitAxis(const SlotRows& by_value,
   return bitmaps;
 }
 
+// The multi-component scheme's digit-range decomposition, shared by
+// EvalMixedRadix and TermReads' count of its reads: rows whose mixed-radix
+// code over axes [0, axis] lies in [lo, hi] split on the top digit. An edge
+// digit is intersected with the lower axes' remainder range, the aligned
+// middle is one top-axis digit interval (every lower-digit combination
+// matches; slots past the domain hold empty bitmaps), and the pieces are
+// united. digits(axis, d_lo, d_hi) answers one digit interval of an axis,
+// both(digit, lower) intersects and any(pieces) unites.
+template <typename T, typename Digits, typename Both, typename Any>
+T DecomposeMixedRadix(const Slicer& slicer, size_t axis, uint64_t lo,
+                      uint64_t hi, const Digits& digits, const Both& both,
+                      const Any& any) {
+  if (axis == 0) return digits(axis, lo, hi);
+  auto lower = [&](uint64_t from, uint64_t to) {
+    return DecomposeMixedRadix<T>(slicer, axis - 1, from, to, digits, both,
+                                  any);
+  };
+  const uint64_t div = slicer.axes()[axis].divisor;
+  uint64_t d_lo = lo / div;
+  uint64_t d_hi = hi / div;
+  const uint64_t rem_lo = lo % div;
+  const uint64_t rem_hi = hi % div;
+  if (d_lo == d_hi) {
+    return both(digits(axis, d_lo, d_lo), lower(rem_lo, rem_hi));
+  }
+  std::vector<T> pieces;
+  if (rem_lo != 0) {
+    pieces.push_back(both(digits(axis, d_lo, d_lo), lower(rem_lo, div - 1)));
+    ++d_lo;
+  }
+  if (rem_hi != div - 1) {
+    pieces.push_back(both(digits(axis, d_hi, d_hi), lower(0, rem_hi)));
+    --d_hi;
+  }
+  if (d_lo <= d_hi) pieces.push_back(digits(axis, d_lo, d_hi));
+  return any(std::move(pieces));
+}
+
 }  // namespace
 
 Result<BitmapIndex> BitmapIndex::Build(const Table& table, Options options) {
@@ -245,80 +284,45 @@ AxisRef BitmapIndex::AxisOf(size_t attr, size_t axis) const {
   return ref;
 }
 
-WahBitVector BitmapIndex::EvalMixedRadix(size_t attr, size_t axis,
-                                         uint64_t lo, uint64_t hi,
+WahBitVector BitmapIndex::EvalMixedRadix(size_t attr, Interval interval,
                                          QueryStats* stats) const {
-  // Rows whose mixed-radix code over axes [0, axis] lies in [lo, hi] —
-  // standard digit-range decomposition: split on the top digit, recurse on
-  // the edge digits' remainders, answer the aligned middle with one
-  // per-axis slot interval. Every per-axis probe goes through the shared
-  // equality evaluator under no-match semantics, so B_0 strips missing
-  // rows on the complement path and the AND/OR composition never
-  // resurrects them.
-  auto digit_range = [&](uint64_t d_lo, uint64_t d_hi) -> WahBitVector {
-    if (stats != nullptr) ++stats->probe_components;
-    return EvaluateSlotInterval(
-        BitmapEncoding::kEquality, AxisOf(attr, axis),
-        {static_cast<Value>(d_lo + 1), static_cast<Value>(d_hi + 1)},
-        MissingStrategy::kExtraBitmap, MissingSemantics::kNoMatch, stats);
-  };
-  auto count_op = [&](uint64_t n = 1) {
+  // Every per-axis probe goes through the shared equality evaluator under
+  // no-match semantics, so B_0 strips missing rows on the complement path
+  // and the AND/OR composition never resurrects them.
+  auto count_op = [&](uint64_t n) {
     if (stats != nullptr) stats->bitvector_ops += n;
   };
-  if (axis == 0) return digit_range(lo, hi);
-
-  const uint64_t div = slicers_[attr].axes()[axis].divisor;
-  const uint64_t d_lo = lo / div;
-  const uint64_t d_hi = hi / div;
-  const uint64_t rem_lo = lo % div;
-  const uint64_t rem_hi = hi % div;
-
-  if (d_lo == d_hi) {
-    WahBitVector sub = EvalMixedRadix(attr, axis - 1, rem_lo, rem_hi, stats);
-    count_op();
-    return digit_range(d_lo, d_lo).And(sub);
-  }
-
-  std::vector<WahBitVector> pieces;
-  uint64_t mid_lo = d_lo;
-  uint64_t mid_hi = d_hi;
-  if (rem_lo != 0) {
-    // Low edge: top digit d_lo, lower digits >= rem_lo.
-    WahBitVector sub = EvalMixedRadix(attr, axis - 1, rem_lo, div - 1, stats);
-    count_op();
-    pieces.push_back(digit_range(d_lo, d_lo).And(sub));
-    ++mid_lo;
-  }
-  if (rem_hi != div - 1) {
-    // High edge: top digit d_hi, lower digits <= rem_hi.
-    WahBitVector sub = EvalMixedRadix(attr, axis - 1, 0, rem_hi, stats);
-    count_op();
-    pieces.push_back(digit_range(d_hi, d_hi).And(sub));
-    --mid_hi;
-  }
-  if (mid_lo <= mid_hi) {
-    // Aligned middle: every lower-digit combination matches, so the top
-    // digit interval alone decides (slots past the domain hold empty
-    // bitmaps and OR away harmlessly).
-    pieces.push_back(digit_range(mid_lo, mid_hi));
-  }
-  if (pieces.size() == 1) return std::move(pieces.front());
-  std::vector<const WahBitVector*> ptrs;
-  ptrs.reserve(pieces.size());
-  for (const WahBitVector& piece : pieces) ptrs.push_back(&piece);
-  count_op(pieces.size() - 1);
-  WahStatsScope op_scope(stats);
-  return WahBitVector::OrMany(ptrs, op_scope.get());
+  const Slicer& slicer = slicers_[attr];
+  return DecomposeMixedRadix<WahBitVector>(
+      slicer, slicer.num_axes() - 1, static_cast<uint64_t>(interval.lo) - 1,
+      static_cast<uint64_t>(interval.hi) - 1,
+      [&](size_t axis, uint64_t d_lo, uint64_t d_hi) {
+        if (stats != nullptr) ++stats->probe_components;
+        return EvaluateSlotInterval(
+            BitmapEncoding::kEquality, AxisOf(attr, axis),
+            {static_cast<Value>(d_lo + 1), static_cast<Value>(d_hi + 1)},
+            MissingStrategy::kExtraBitmap, MissingSemantics::kNoMatch, stats);
+      },
+      [&](const WahBitVector& digit, const WahBitVector& lower) {
+        count_op(1);
+        return digit.And(lower);
+      },
+      [&](std::vector<WahBitVector> pieces) {
+        if (pieces.size() == 1) return std::move(pieces.front());
+        std::vector<const WahBitVector*> ptrs;
+        ptrs.reserve(pieces.size());
+        for (const WahBitVector& piece : pieces) ptrs.push_back(&piece);
+        count_op(pieces.size() - 1);
+        WahStatsScope op_scope(stats);
+        return WahBitVector::OrMany(ptrs, op_scope.get());
+      });
 }
 
 WahBitVector BitmapIndex::EvalHierarchical(size_t attr, Interval interval,
                                            MissingSemantics semantics,
                                            QueryStats* stats) const {
-  // Segment-tree cover of [lo, hi]: peel an unaligned edge bin per side,
-  // ascend one level, repeat — at most two bins per level, all fused into
-  // one OrMany. Bin b at level l+1 is exactly the union of level-l bins 2b
-  // and 2b+1 (the clipped top bin simply has an absent sibling), so the
-  // cover is exact.
+  // Segment-tree cover of [lo, hi] (ForEachCoverBin), every bin fused
+  // into one OrMany; the clipped top bin simply has an absent sibling.
   const AttributeBitmaps& ab = attributes_[attr];
   std::vector<const WahBitVector*> ops;
   int last_level = -1;
@@ -336,22 +340,8 @@ WahBitVector BitmapIndex::EvalHierarchical(size_t attr, Interval interval,
     ops.push_back(&vec);
   };
 
-  uint64_t lo = static_cast<uint64_t>(interval.lo) - 1;
-  uint64_t hi = static_cast<uint64_t>(interval.hi) - 1;
-  size_t level = 0;
-  while (true) {
-    if (lo > hi) break;
-    if (lo == hi) {
-      probe(level, lo);
-      break;
-    }
-    if ((lo & 1) != 0) probe(level, lo++);
-    if ((hi & 1) == 0) probe(level, hi--);
-    if (lo > hi) break;
-    lo >>= 1;
-    hi >>= 1;
-    ++level;
-  }
+  ForEachCoverBin(static_cast<uint64_t>(interval.lo) - 1,
+                  static_cast<uint64_t>(interval.hi) - 1, probe);
   if (stats != nullptr) stats->probe_levels += levels_probed;
 
   if (semantics == MissingSemantics::kMatch && ab.missing.has_value()) {
@@ -417,10 +407,7 @@ Result<WahBitVector> BitmapIndex::EvaluateInterval(size_t attr,
   if (options_.scheme == SlotScheme::kHierarchical) {
     return EvalHierarchical(attr, interval, semantics, stats);
   }
-  WahBitVector result =
-      EvalMixedRadix(attr, slicers_[attr].num_axes() - 1,
-                     static_cast<uint64_t>(interval.lo) - 1,
-                     static_cast<uint64_t>(interval.hi) - 1, stats);
+  WahBitVector result = EvalMixedRadix(attr, interval, stats);
   if (semantics == MissingSemantics::kMatch && ab.missing.has_value()) {
     if (stats != nullptr) {
       ++stats->bitvectors_accessed;
@@ -430,6 +417,47 @@ Result<WahBitVector> BitmapIndex::EvaluateInterval(size_t attr,
     result = result.Or(*ab.missing);
   }
   return result;
+}
+
+uint64_t BitmapIndex::TermReads(const Options& options, uint32_t cardinality,
+                                Interval interval, MissingSemantics semantics,
+                                bool has_missing) {
+  const bool missing_bitmap =
+      has_missing && options.missing_strategy == MissingStrategy::kExtraBitmap;
+  if (options.scheme == SlotScheme::kDirect) {
+    return SlotIntervalReads(options.encoding, cardinality, interval,
+                             options.missing_strategy, semantics,
+                             missing_bitmap);
+  }
+  const bool match = semantics == MissingSemantics::kMatch;
+  if (interval.lo == 1 && interval.hi == static_cast<Value>(cardinality)) {
+    return !match && missing_bitmap ? 1 : 0;
+  }
+  const uint64_t lo = static_cast<uint64_t>(interval.lo) - 1;
+  const uint64_t hi = static_cast<uint64_t>(interval.hi) - 1;
+  uint64_t reads = match && missing_bitmap ? 1 : 0;
+  if (options.scheme == SlotScheme::kHierarchical) {
+    ForEachCoverBin(lo, hi, [&reads](size_t, uint64_t) { ++reads; });
+    return reads;
+  }
+  const Result<Slicer> slicer = Slicer::Create(options.scheme, cardinality);
+  if (!slicer.ok()) return reads;
+  return reads + DecomposeMixedRadix<uint64_t>(
+                     slicer.value(), slicer.value().num_axes() - 1, lo, hi,
+                     [&](size_t axis, uint64_t d_lo, uint64_t d_hi) {
+                       return SlotIntervalReads(
+                           BitmapEncoding::kEquality,
+                           slicer.value().num_slots(axis),
+                           {static_cast<Value>(d_lo + 1),
+                            static_cast<Value>(d_hi + 1)},
+                           MissingStrategy::kExtraBitmap,
+                           MissingSemantics::kNoMatch, missing_bitmap);
+                     },
+                     std::plus<uint64_t>(),
+                     [](const std::vector<uint64_t>& pieces) {
+                       return std::accumulate(pieces.begin(), pieces.end(),
+                                              uint64_t{0});
+                     });
 }
 
 Result<std::vector<WahBitVector>> BitmapIndex::EvaluateTerms(

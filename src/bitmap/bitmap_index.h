@@ -120,6 +120,16 @@ class BitmapIndex : public IncompleteIndex {
                                         MissingSemantics semantics,
                                         QueryStats* stats = nullptr) const;
 
+  /// Bitvectors EvaluateInterval reads for one term (its QueryStats::
+  /// bitvectors_accessed) on an index built with `options`, over an
+  /// attribute of `cardinality` values that has missing cells or not —
+  /// computed from the geometry alone, beside the evaluators it mirrors.
+  /// `interval` must be valid for `cardinality`. The cost model charges
+  /// bitmap probes by it.
+  static uint64_t TermReads(const Options& options, uint32_t cardinality,
+                            Interval interval, MissingSemantics semantics,
+                            bool has_missing);
+
   /// Bytes the index would occupy uncompressed (verbatim bitmaps).
   uint64_t VerbatimSizeInBytes() const;
 
@@ -173,10 +183,10 @@ class BitmapIndex : public IncompleteIndex {
   // (the attribute's B_0 rides along on every axis).
   AxisRef AxisOf(size_t attr, size_t axis) const;
 
-  // kMultiComponent: rows whose mixed-radix code over axes [0, axis] lies
-  // in [lo, hi] (0-based codes), by digit-range recursion.
-  WahBitVector EvalMixedRadix(size_t attr, size_t axis, uint64_t lo,
-                              uint64_t hi, QueryStats* stats) const;
+  // kMultiComponent: rows whose value lies in `interval`, by digit-range
+  // recursion over the mixed-radix axes (DecomposeMixedRadix).
+  WahBitVector EvalMixedRadix(size_t attr, Interval interval,
+                              QueryStats* stats) const;
 
   // kHierarchical: segment-tree cover, <= 2 aligned bins per level OR-ed
   // in one fused pass.

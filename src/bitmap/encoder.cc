@@ -551,4 +551,56 @@ WahBitVector EvaluateSlotInterval(BitmapEncoding encoding, const AxisRef& axis,
   return WahBitVector::Fill(axis.num_rows, false);
 }
 
+uint64_t SlotIntervalReads(BitmapEncoding encoding, uint32_t num_slots,
+                           Interval interval, MissingStrategy strategy,
+                           MissingSemantics semantics, bool missing_bitmap) {
+  const bool match = semantics == MissingSemantics::kMatch;
+  const uint64_t c = num_slots;
+  const uint64_t lo = static_cast<uint64_t>(interval.lo);
+  const uint64_t hi = static_cast<uint64_t>(interval.hi);
+  const uint64_t width = hi - lo + 1;
+  const uint64_t missing = missing_bitmap ? 1 : 0;
+  switch (encoding) {
+    case BitmapEncoding::kEquality:
+      // Fig. 2: the inside bitmaps or the outside ones, whichever side is
+      // smaller; B_0 joins the OR under match semantics and the complement
+      // under no-match. kAllZeros always ORs the inside; kAllOnes recovers
+      // missing rows on the complement path from B_1 AND B_2.
+      if (width <= c - width || strategy == MissingStrategy::kAllZeros) {
+        return width + (match ? missing : 0);
+      }
+      if (strategy == MissingStrategy::kAllOnes) {
+        return c - width + (c >= 2 ? 2 : 0);
+      }
+      return c - width + (match ? 0 : missing);
+    case BitmapEncoding::kRange: {
+      // Fig. 3 combines "value <= j" bitvectors: B_j for j in [1, C-1], B_0
+      // for j = 0 and none for the dropped all-ones j = C. Match: LE(hi) for
+      // lo = 1, else LE(hi) XOR LE(lo-1) OR B_0. No-match: LE(hi) XOR
+      // LE(lo-1) with LE(0) = B_0.
+      const uint64_t le_hi = hi >= c ? 0 : 1;
+      if (lo == 1) return le_hi + (match ? 0 : missing);
+      return le_hi + 1 + (match ? missing : 0);
+    }
+    case BitmapEncoding::kInterval:
+      // The full domain needs no window (NOT B_0 under no-match); a query
+      // exactly m wide is one window, any other width two; match semantics
+      // ORs in B_0.
+      if (width == c) return match ? 0 : missing;
+      return (width == IntervalEncodingM(num_slots) ? 1 : 2) +
+             (match ? missing : 0);
+    case BitmapEncoding::kBitSliced: {
+      // A point reads every slice. A range is LE(hi) AND NOT LE(lo-1): each
+      // LE circuit reads every slice, except LE(C) (all ones, none) and
+      // LE(0) (= B_0). Match semantics ORs in B_0.
+      const uint64_t slices = NumAxisBitmaps(encoding, num_slots);
+      const uint64_t reads =
+          lo == hi ? slices
+                   : (hi == c ? 0 : slices) + (lo == 1 ? missing : slices);
+      return reads + (match ? missing : 0);
+    }
+  }
+  return 0;
+}
+
 }  // namespace incdb

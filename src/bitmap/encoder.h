@@ -165,6 +165,15 @@ WahBitVector EvaluateSlotInterval(BitmapEncoding encoding, const AxisRef& axis,
                                   MissingSemantics semantics,
                                   QueryStats* stats);
 
+/// Bitvectors EvaluateSlotInterval reads (its QueryStats::
+/// bitvectors_accessed) for the same arguments, from the geometry alone:
+/// the evaluator's case analysis without touching a bitmap.
+/// `missing_bitmap` says whether the axis carries B_0 (AxisRef::missing).
+/// The cost model prices bitmap probes with it.
+uint64_t SlotIntervalReads(BitmapEncoding encoding, uint32_t num_slots,
+                           Interval interval, MissingStrategy strategy,
+                           MissingSemantics semantics, bool missing_bitmap);
+
 }  // namespace incdb
 
 #endif  // INCDB_BITMAP_ENCODER_H_

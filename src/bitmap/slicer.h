@@ -86,6 +86,25 @@ class Slicer {
   std::vector<Axis> axes_;
 };
 
+/// The hierarchical scheme's range cover (Krčál et al. 2021): calls
+/// bin(level, slot) for each bin of the segment-tree cover of the 0-based
+/// value range [lo, hi], lowest level first — peel an unaligned edge bin per
+/// side, ascend one level, repeat. At most two bins per level; bin b at
+/// level l+1 is exactly the union of level-l bins 2b and 2b+1, so the bins'
+/// union is exactly [lo, hi]. The evaluator probes these bins and the cost
+/// model counts them, so both walk this one loop.
+template <typename Bin>
+void ForEachCoverBin(uint64_t lo, uint64_t hi, Bin&& bin) {
+  for (size_t level = 0; lo <= hi; ++level, lo >>= 1, hi >>= 1) {
+    if (lo == hi) {
+      bin(level, lo);
+      return;
+    }
+    if ((lo & 1) != 0) bin(level, lo++);
+    if ((hi & 1) == 0) bin(level, hi--);
+  }
+}
+
 }  // namespace incdb
 
 #endif  // INCDB_BITMAP_SLICER_H_

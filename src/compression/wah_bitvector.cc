@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstdlib>
 
 #include "common/bitutil.h"
 #include "common/logging.h"
@@ -20,31 +19,17 @@ namespace {
 // inputs (~0.8 literal fraction) win on the dense path at every level and
 // k; clustered 1% inputs (~0.03) win on the sparse strategies; the
 // break-even sits near the cost ratio of a scatter store vs its share of a
-// kernel pass, ~0.1-0.2 on both tested word widths. Overridable via
-// INCDB_DENSE_THRESHOLD (<=0 forces dense, >1 disables the dense path).
-constexpr double kDefaultDenseBlockThreshold = 0.15;
-
-std::atomic<double>& ThresholdStorage() {
-  static std::atomic<double> threshold{[] {
-    const char* env = std::getenv("INCDB_DENSE_THRESHOLD");
-    if (env != nullptr && env[0] != '\0') {
-      char* end = nullptr;
-      const double parsed = std::strtod(env, &end);
-      if (end != env) return parsed;
-    }
-    return kDefaultDenseBlockThreshold;
-  }()};
-  return threshold;
-}
+// kernel pass, ~0.1-0.2 on both tested word widths.
+std::atomic<double> dense_block_threshold{0.15};
 
 }  // namespace
 
 double DenseBlockThreshold() {
-  return ThresholdStorage().load(std::memory_order_relaxed);
+  return dense_block_threshold.load(std::memory_order_relaxed);
 }
 
 double SetDenseBlockThresholdForTesting(double threshold) {
-  return ThresholdStorage().exchange(threshold, std::memory_order_relaxed);
+  return dense_block_threshold.exchange(threshold, std::memory_order_relaxed);
 }
 
 }  // namespace wah_internal
@@ -426,18 +411,6 @@ void FuseHybrid(std::span<const typename BasicWahBitVector<WordT>::Operand> ops,
     }
   }
   for (const auto& it : its) INCDB_CHECK(it.done());
-}
-
-// Word-width-dispatched scalar I/O for serialization.
-void WriteWord(BinaryWriter& writer, uint32_t word) { writer.WriteU32(word); }
-void WriteWord(BinaryWriter& writer, uint64_t word) { writer.WriteU64(word); }
-Status ReadWord(BinaryReader& reader, uint32_t* word) {
-  INCDB_ASSIGN_OR_RETURN(*word, reader.ReadU32());
-  return Status::OK();
-}
-Status ReadWord(BinaryReader& reader, uint64_t* word) {
-  INCDB_ASSIGN_OR_RETURN(*word, reader.ReadU64());
-  return Status::OK();
 }
 
 }  // namespace
@@ -1021,52 +994,6 @@ void BasicWahBitVector<WordT>::Detach() {
   words_.assign(borrowed_words_, borrowed_words_ + num_borrowed_);
   borrowed_words_ = nullptr;
   num_borrowed_ = 0;
-}
-
-template <typename WordT>
-void BasicWahBitVector<WordT>::SaveTo(BinaryWriter& writer) const {
-  writer.WriteU64(size_);
-  writer.WriteU32(static_cast<uint32_t>(active_bits_));
-  WriteWord(writer, active_word_);
-  const std::span<const WordT> words = code_words();
-  writer.WriteU64(words.size());
-  for (WordT word : words) WriteWord(writer, word);
-}
-
-template <typename WordT>
-Result<BasicWahBitVector<WordT>> BasicWahBitVector<WordT>::LoadFrom(
-    BinaryReader& reader) {
-  BasicWahBitVector out;
-  INCDB_ASSIGN_OR_RETURN(out.size_, reader.ReadU64());
-  INCDB_ASSIGN_OR_RETURN(uint32_t active_bits, reader.ReadU32());
-  if (active_bits >= static_cast<uint32_t>(kGroupBits)) {
-    return Status::IOError("corrupted WAH payload: active_bits out of range");
-  }
-  out.active_bits_ = static_cast<int>(active_bits);
-  INCDB_RETURN_IF_ERROR(ReadWord(reader, &out.active_word_));
-  if ((out.active_word_ &
-       ~static_cast<WordT>(bitutil::LowBitsMask(out.active_bits_))) != 0) {
-    return Status::IOError(
-        "corrupted WAH payload: active word has stray bits");
-  }
-  INCDB_ASSIGN_OR_RETURN(uint64_t num_words, reader.ReadU64());
-  if (num_words > (uint64_t{1} << 40)) {
-    return Status::IOError("corrupted WAH payload: implausible word count");
-  }
-  out.words_.resize(num_words);
-  for (uint64_t i = 0; i < num_words; ++i) {
-    INCDB_RETURN_IF_ERROR(ReadWord(reader, &out.words_[i]));
-  }
-  // Cross-check the declared size against the decoded group count.
-  uint64_t groups = 0;
-  for (WordT w : out.words_) {
-    groups += Traits<WordT>::IsFill(w) ? Traits<WordT>::FillGroups(w) : 1;
-  }
-  if (groups * kGroupBits + static_cast<uint64_t>(out.active_bits_) !=
-      out.size_) {
-    return Status::IOError("corrupted WAH payload: size mismatch");
-  }
-  return out;
 }
 
 template class BasicWahBitVector<uint32_t>;

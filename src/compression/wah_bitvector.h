@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "bitvector/bitvector.h"
-#include "common/io.h"
+#include "common/status.h"
 #include "simd/simd.h"
 
 namespace incdb {
@@ -40,8 +40,8 @@ namespace wah_internal {
 /// Literal-group density (literal groups / total groups in a window,
 /// averaged over operands) at or above which the fused kernels take the
 /// dense-block path. The default is the measured crossover from
-/// bench_simd_kernels (docs/KERNELS.md has the derivation); the
-/// INCDB_DENSE_THRESHOLD environment variable overrides it at startup.
+/// bench_simd_kernels (docs/KERNELS.md has the derivation), 0.15;
+/// SetDenseBlockThresholdForTesting moves it for tests and benches.
 double DenseBlockThreshold();
 
 /// Test/bench hook: 0.0 forces every window dense, anything above 1.0
@@ -421,14 +421,6 @@ class BasicWahBitVector {
 
   /// Debug rendering: "L:xxxxx" literal words and "F<bit>x<n>" fills.
   std::string DebugString() const;
-
-  /// Writes the compressed payload to `writer` (the on-disk form whose
-  /// size the paper's index-size metric measures). The format depends on
-  /// the word width; files are not interchangeable between instantiations.
-  void SaveTo(BinaryWriter& writer) const;
-
-  /// Reads a payload written by SaveTo. Validates internal consistency.
-  static Result<BasicWahBitVector> LoadFrom(BinaryReader& reader);
 
  private:
   friend class BasicWahRunIterator<WordT>;

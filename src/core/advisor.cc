@@ -14,8 +14,10 @@ namespace incdb {
 IndexAdvisor::IndexAdvisor(const Table& table)
     : schema_(table.schema()), num_rows_(table.num_rows()) {
   histograms_.reserve(table.num_attributes());
+  missing_counts_.reserve(table.num_attributes());
   for (size_t a = 0; a < table.num_attributes(); ++a) {
     histograms_.push_back(AttributeHistogram::FromColumn(table.column(a)));
+    missing_counts_.push_back(histograms_.back().missing_count());
   }
 }
 
@@ -40,73 +42,72 @@ RangeQuery IndexAdvisor::SynthesizeQuery(const WorkloadProfile& profile) const {
 }
 
 double IndexAdvisor::SizeBytes(IndexKind kind) const {
+  const IndexKindInfo* info = FindIndexKind(kind);
+  if (info == nullptr || (!info->bitmap && !info->va)) return 0.0;
   const double n = static_cast<double>(num_rows_);
   double size = 0.0;
   for (const AttributeHistogram& hist : histograms_) {
     const uint32_t cardinality = hist.cardinality();
-    switch (kind) {
-      case IndexKind::kSequentialScan:
-        return 0.0;
-      case IndexKind::kVaFile:
-      case IndexKind::kVaPlusFile:
-        size += n * bitutil::BitsForCardinality(cardinality) / 8.0;
-        continue;
-      case IndexKind::kBitmapEquality:
+    if (info->va.has_value()) {
+      size += n * bitutil::BitsForCardinality(cardinality) / 8.0;
+      continue;
+    }
+    // One WAH bitmap per stored bitvector, at the density of the rows it
+    // holds.
+    auto add_bitmap = [&](double rows) {
+      size += ExpectedWahBytes(num_rows_, rows / std::max(1.0, n));
+    };
+    const BitmapIndex::Options& options = *info->bitmap;
+    if (options.scheme != SlotScheme::kDirect) {
+      // Composite kinds: one bitmap per slot of every slicer axis.
+      const Result<Slicer> sliced = Slicer::Create(options.scheme, cardinality);
+      if (!sliced.ok()) continue;
+      const Slicer& slicer = sliced.value();
+      for (size_t axis = 0; axis < slicer.axes().size(); ++axis) {
+        std::vector<double> mass(slicer.axes()[axis].num_slots, 0.0);
         for (uint32_t v = 1; v <= cardinality; ++v) {
-          size += ExpectedWahBytes(num_rows_, hist.BitDensity(v));
+          mass[slicer.SlotOf(v, axis)] += static_cast<double>(hist.count(v));
         }
-        break;
-      case IndexKind::kBitmapRange: {
-        // B_j density = cumulative frequency through j plus missing.
-        double cumulative = static_cast<double>(hist.missing_count());
-        for (uint32_t j = 1; j + 1 <= cardinality; ++j) {
-          cumulative += static_cast<double>(hist.count(j));
-          size += ExpectedWahBytes(num_rows_, cumulative / std::max(1.0, n));
-        }
-        break;
+        for (double slot_mass : mass) add_bitmap(slot_mass);
       }
-      case IndexKind::kBitmapInterval: {
-        const uint32_t m = (cardinality + 1) / 2;
-        for (uint32_t j = 1; j <= cardinality - m + 1; ++j) {
-          double mass = 0.0;
-          for (uint32_t v = j; v <= std::min(cardinality, j + m - 1); ++v) {
-            mass += static_cast<double>(hist.count(v));
-          }
-          size += ExpectedWahBytes(num_rows_, mass / std::max(1.0, n));
-        }
-        break;
-      }
-      case IndexKind::kBitmapBitSliced: {
-        const int slices = bitutil::BitsForCardinality(cardinality);
-        for (int k = 0; k < slices; ++k) {
-          double mass = 0.0;
+    } else {
+      switch (options.encoding) {
+        case BitmapEncoding::kEquality:
           for (uint32_t v = 1; v <= cardinality; ++v) {
-            if ((v >> k) & 1) mass += static_cast<double>(hist.count(v));
+            size += ExpectedWahBytes(num_rows_, hist.BitDensity(v));
           }
-          size += ExpectedWahBytes(num_rows_, mass / std::max(1.0, n));
+          break;
+        case BitmapEncoding::kRange: {
+          // B_j holds the values through j plus the missing rows.
+          double cumulative = static_cast<double>(hist.missing_count());
+          for (uint32_t j = 1; j + 1 <= cardinality; ++j) {
+            cumulative += static_cast<double>(hist.count(j));
+            add_bitmap(cumulative);
+          }
+          break;
         }
-        break;
-      }
-      case IndexKind::kBitmapMultiComponent:
-      case IndexKind::kBitmapHierarchical: {
-        // Composite kinds: one bitmap per slot of every slicer axis.
-        const Result<Slicer> sliced =
-            Slicer::Create(kind == IndexKind::kBitmapMultiComponent
-                               ? SlotScheme::kMultiComponent
-                               : SlotScheme::kHierarchical,
-                           cardinality);
-        if (!sliced.ok()) continue;
-        const Slicer& slicer = sliced.value();
-        for (size_t axis = 0; axis < slicer.axes().size(); ++axis) {
-          std::vector<double> mass(slicer.axes()[axis].num_slots, 0.0);
-          for (uint32_t v = 1; v <= cardinality; ++v) {
-            mass[slicer.SlotOf(v, axis)] += static_cast<double>(hist.count(v));
+        case BitmapEncoding::kInterval: {
+          const uint32_t m = IntervalEncodingM(cardinality);
+          for (uint32_t j = 1; j <= IntervalEncodingN(cardinality); ++j) {
+            double mass = 0.0;
+            for (uint32_t v = j; v <= std::min(cardinality, j + m - 1); ++v) {
+              mass += static_cast<double>(hist.count(v));
+            }
+            add_bitmap(mass);
           }
-          for (double slot_mass : mass) {
-            size += ExpectedWahBytes(num_rows_, slot_mass / std::max(1.0, n));
-          }
+          break;
         }
-        break;
+        case BitmapEncoding::kBitSliced: {
+          const int slices = bitutil::BitsForCardinality(cardinality);
+          for (int k = 0; k < slices; ++k) {
+            double mass = 0.0;
+            for (uint32_t v = 1; v <= cardinality; ++v) {
+              if ((v >> k) & 1) mass += static_cast<double>(hist.count(v));
+            }
+            add_bitmap(mass);
+          }
+          break;
+        }
       }
     }
     // Every bitmap kind keeps one missing bitmap per attribute with gaps.
@@ -132,20 +133,17 @@ IndexCostEstimate IndexAdvisor::Estimate(IndexKind kind,
   IndexCostEstimate estimate;
   estimate.kind = kind;
   estimate.size_bytes = SizeBytes(kind);
-  estimate.query_cost = plan::KindCost(schema_, num_rows_, kind, query.terms,
-                                       query.semantics, selectivity);
+  estimate.query_cost =
+      plan::KindCost(schema_, missing_counts_, num_rows_, kind, query.terms,
+                     query.semantics, selectivity);
   return estimate;
 }
 
 std::vector<IndexCostEstimate> IndexAdvisor::Rank(
     const WorkloadProfile& profile, double memory_budget_bytes) const {
   std::vector<IndexCostEstimate> ranked;
-  for (IndexKind kind :
-       {IndexKind::kSequentialScan, IndexKind::kBitmapEquality,
-        IndexKind::kBitmapRange, IndexKind::kBitmapInterval,
-        IndexKind::kBitmapBitSliced, IndexKind::kBitmapMultiComponent,
-        IndexKind::kBitmapHierarchical, IndexKind::kVaFile}) {
-    const IndexCostEstimate estimate = Estimate(kind, profile);
+  for (const IndexKindInfo& info : IndexKinds()) {
+    const IndexCostEstimate estimate = Estimate(info.kind, profile);
     if (estimate.size_bytes <= memory_budget_bytes) ranked.push_back(estimate);
   }
   const bool is_point = plan::TermsArePoint(SynthesizeQuery(profile).terms);

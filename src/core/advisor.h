@@ -76,6 +76,8 @@ class IndexAdvisor {
   Schema schema_;
   uint64_t num_rows_;
   std::vector<AttributeHistogram> histograms_;
+  /// histograms_[a].missing_count(), the cost model's missing input.
+  std::vector<uint64_t> missing_counts_;
 };
 
 }  // namespace incdb

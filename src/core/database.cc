@@ -191,8 +191,7 @@ Status Database::SealPending(uint64_t limit) {
   INCDB_ASSIGN_OR_RETURN(
       std::vector<std::shared_ptr<const internal::Segment>> fresh,
       internal::BuildSegmentsParallel(*table_, sealed, limit, options,
-                                      &next_content_id_,
-                                      std::thread::hardware_concurrency()));
+                                      &next_content_id_));
   auto list = std::make_shared<internal::SegmentList>();
   list->options = options;
   list->segments = segment_list_->segments;

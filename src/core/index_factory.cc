@@ -3,13 +3,47 @@
 #include <algorithm>
 #include <cctype>
 
-#include "bitmap/bitmap_index.h"
 #include "core/scan_index.h"
-#include "vafile/va_file.h"
 
 namespace incdb {
 
 namespace {
+
+constexpr BitmapIndex::Options Direct(BitmapEncoding encoding) {
+  return {encoding, MissingStrategy::kExtraBitmap, SlotScheme::kDirect};
+}
+
+constexpr BitmapIndex::Options Composite(SlotScheme scheme) {
+  return {BitmapEncoding::kEquality, MissingStrategy::kExtraBitmap, scheme};
+}
+
+constexpr IndexKindInfo kKinds[] = {
+    {IndexKind::kSequentialScan, "SeqScan", "scan", std::nullopt,
+     std::nullopt},
+    {IndexKind::kBitmapEquality, "BEE-WAH", "bee",
+     Direct(BitmapEncoding::kEquality), std::nullopt},
+    {IndexKind::kBitmapRange, "BRE-WAH", "bre", Direct(BitmapEncoding::kRange),
+     std::nullopt},
+    {IndexKind::kBitmapInterval, "BIE-WAH", "bie",
+     Direct(BitmapEncoding::kInterval), std::nullopt},
+    {IndexKind::kBitmapBitSliced, "BSL-WAH", "bsl",
+     Direct(BitmapEncoding::kBitSliced), std::nullopt},
+    {IndexKind::kVaFile, "VA-File", "va", std::nullopt,
+     VaQuantization::kUniform},
+    {IndexKind::kVaPlusFile, "VA+-File", "va+", std::nullopt,
+     VaQuantization::kEquiDepth},
+    {IndexKind::kBitmapMultiComponent, "MC-WAH", "mc",
+     Composite(SlotScheme::kMultiComponent), std::nullopt},
+    {IndexKind::kBitmapHierarchical, "HIER-WAH", "hier",
+     Composite(SlotScheme::kHierarchical), std::nullopt},
+};
+
+std::string Lowercase(std::string_view text) {
+  std::string lower(text);
+  std::transform(lower.begin(), lower.end(), lower.begin(),
+                 [](unsigned char c) { return std::tolower(c); });
+  return lower;
+}
 
 // Moves a Result<T> of a concrete index into a unique_ptr of the interface.
 template <typename T>
@@ -21,67 +55,28 @@ Result<std::unique_ptr<IncompleteIndex>> Wrap(Result<T> result) {
 
 }  // namespace
 
-std::string_view IndexKindToString(IndexKind kind) {
-  switch (kind) {
-    case IndexKind::kSequentialScan:
-      return "SeqScan";
-    case IndexKind::kBitmapEquality:
-      return "BEE-WAH";
-    case IndexKind::kBitmapRange:
-      return "BRE-WAH";
-    case IndexKind::kBitmapInterval:
-      return "BIE-WAH";
-    case IndexKind::kBitmapBitSliced:
-      return "BSL-WAH";
-    case IndexKind::kVaFile:
-      return "VA-File";
-    case IndexKind::kVaPlusFile:
-      return "VA+-File";
-    case IndexKind::kBitmapMultiComponent:
-      return "MC-WAH";
-    case IndexKind::kBitmapHierarchical:
-      return "HIER-WAH";
+std::span<const IndexKindInfo> IndexKinds() { return kKinds; }
+
+const IndexKindInfo* FindIndexKind(IndexKind kind) {
+  for (const IndexKindInfo& info : kKinds) {
+    if (info.kind == kind) return &info;
   }
-  return "unknown";
+  return nullptr;
+}
+
+std::string_view IndexKindToString(IndexKind kind) {
+  const IndexKindInfo* info = FindIndexKind(kind);
+  return info != nullptr ? info->name : "unknown";
 }
 
 Result<IndexKind> IndexKindFromString(std::string_view name) {
-  std::string lower(name);
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  static constexpr struct {
-    std::string_view alias;
-    IndexKind kind;
-  } kAliases[] = {
-      {"seqscan", IndexKind::kSequentialScan},
-      {"scan", IndexKind::kSequentialScan},
-      {"bee-wah", IndexKind::kBitmapEquality},
-      {"bee", IndexKind::kBitmapEquality},
-      {"bre-wah", IndexKind::kBitmapRange},
-      {"bre", IndexKind::kBitmapRange},
-      {"bie-wah", IndexKind::kBitmapInterval},
-      {"bie", IndexKind::kBitmapInterval},
-      {"bsl-wah", IndexKind::kBitmapBitSliced},
-      {"bsl", IndexKind::kBitmapBitSliced},
-      {"va-file", IndexKind::kVaFile},
-      {"va", IndexKind::kVaFile},
-      {"va+-file", IndexKind::kVaPlusFile},
-      {"va+", IndexKind::kVaPlusFile},
-      {"mc-wah", IndexKind::kBitmapMultiComponent},
-      {"mc", IndexKind::kBitmapMultiComponent},
-      {"hier-wah", IndexKind::kBitmapHierarchical},
-      {"hier", IndexKind::kBitmapHierarchical},
-  };
-  for (const auto& entry : kAliases) {
-    if (lower == entry.alias) return entry.kind;
-  }
+  const std::string lower = Lowercase(name);
   std::string valid;
-  IndexKind last_named = IndexKind::kSequentialScan;
-  for (const auto& entry : kAliases) {
-    if (entry.kind == last_named && !valid.empty()) continue;
+  for (const IndexKindInfo& info : kKinds) {
+    const std::string full = Lowercase(info.name);
+    if (lower == full || lower == info.alias) return info.kind;
     if (!valid.empty()) valid += ", ";
-    valid += entry.alias;
-    last_named = entry.kind;
+    valid += full;
   }
   return Status::InvalidArgument("unknown index kind '" + std::string(name) +
                                  "'; valid kinds: " + valid);
@@ -89,37 +84,15 @@ Result<IndexKind> IndexKindFromString(std::string_view name) {
 
 Result<std::unique_ptr<IncompleteIndex>> CreateIndex(IndexKind kind,
                                                      const Table& table) {
-  switch (kind) {
-    case IndexKind::kSequentialScan:
-      return std::unique_ptr<IncompleteIndex>(
-          std::make_unique<ScanIndex>(table));
-    case IndexKind::kBitmapEquality:
-      return Wrap(BitmapIndex::Build(
-          table, {BitmapEncoding::kEquality, MissingStrategy::kExtraBitmap}));
-    case IndexKind::kBitmapRange:
-      return Wrap(BitmapIndex::Build(
-          table, {BitmapEncoding::kRange, MissingStrategy::kExtraBitmap}));
-    case IndexKind::kBitmapInterval:
-      return Wrap(BitmapIndex::Build(
-          table, {BitmapEncoding::kInterval, MissingStrategy::kExtraBitmap}));
-    case IndexKind::kBitmapBitSliced:
-      return Wrap(BitmapIndex::Build(
-          table,
-          {BitmapEncoding::kBitSliced, MissingStrategy::kExtraBitmap}));
-    case IndexKind::kVaFile:
-      return Wrap(VaFile::Build(table, {VaQuantization::kUniform, 0}));
-    case IndexKind::kVaPlusFile:
-      return Wrap(VaFile::Build(table, {VaQuantization::kEquiDepth, 0}));
-    case IndexKind::kBitmapMultiComponent:
-      return Wrap(BitmapIndex::Build(
-          table, {BitmapEncoding::kEquality, MissingStrategy::kExtraBitmap,
-                  SlotScheme::kMultiComponent}));
-    case IndexKind::kBitmapHierarchical:
-      return Wrap(BitmapIndex::Build(
-          table, {BitmapEncoding::kEquality, MissingStrategy::kExtraBitmap,
-                  SlotScheme::kHierarchical}));
+  const IndexKindInfo* info = FindIndexKind(kind);
+  if (info == nullptr) return Status::InvalidArgument("unknown index kind");
+  if (info->bitmap.has_value()) {
+    return Wrap(BitmapIndex::Build(table, *info->bitmap));
   }
-  return Status::InvalidArgument("unknown index kind");
+  if (info->va.has_value()) {
+    return Wrap(VaFile::Build(table, {*info->va, 0}));
+  }
+  return std::unique_ptr<IncompleteIndex>(std::make_unique<ScanIndex>(table));
 }
 
 }  // namespace incdb

@@ -2,10 +2,14 @@
 #define INCDB_CORE_INDEX_FACTORY_H_
 
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 
+#include "bitmap/bitmap_index.h"
 #include "core/incomplete_index.h"
 #include "table/table.h"
+#include "vafile/va_file.h"
 
 namespace incdb {
 
@@ -39,6 +43,28 @@ enum class IndexKind {
   /// touches <= 2 bins per level — O(log C) probes (docs/ENCODINGS.md).
   kBitmapHierarchical = 10,
 };
+
+/// One row of the kind table: everything incdb knows about a served kind.
+/// A bitmap kind is a BitmapIndex built with `bitmap`, a VA kind a VaFile
+/// with quantization `va`; the scan has neither. The factory, the store's
+/// reader and writer, the segment layer, the cost model and the advisor all
+/// read this row instead of spelling the mapping out again.
+struct IndexKindInfo {
+  IndexKind kind;
+  /// Display name (IndexKindToString).
+  std::string_view name;
+  /// CLI short alias; IndexKindFromString also takes the lowercased name.
+  std::string_view alias;
+  std::optional<BitmapIndex::Options> bitmap;
+  std::optional<VaQuantization> va;
+};
+
+/// Every served kind, ascending by kind byte.
+std::span<const IndexKindInfo> IndexKinds();
+
+/// The row of `kind`, or null for a value no served kind carries (a retired
+/// or corrupt catalog byte).
+const IndexKindInfo* FindIndexKind(IndexKind kind);
 
 std::string_view IndexKindToString(IndexKind kind);
 

@@ -8,20 +8,11 @@
 namespace incdb {
 
 bool IsSegmentIndexKind(IndexKind kind) {
-  switch (kind) {
-    case IndexKind::kBitmapEquality:
-    case IndexKind::kBitmapRange:
-    case IndexKind::kBitmapInterval:
-    case IndexKind::kBitmapBitSliced:
-    case IndexKind::kBitmapMultiComponent:
-    case IndexKind::kBitmapHierarchical:
-      return true;
-    default:
-      // Scan has no payload; the VA-files consult the table at query time,
-      // so they cannot outlive the transient local copy a segment is built
-      // from.
-      return false;
-  }
+  // Bitmap kinds never read the table after Build. Scan has no payload and
+  // the VA-files consult the table at query time, so they cannot outlive
+  // the transient local copy a segment is built from.
+  const IndexKindInfo* info = FindIndexKind(kind);
+  return info != nullptr && info->bitmap.has_value();
 }
 
 namespace internal {
@@ -89,8 +80,7 @@ Result<Segment> BuildSealedSegment(const Table& table, uint64_t begin,
 
 Result<std::vector<std::shared_ptr<const Segment>>> BuildSegmentsParallel(
     const Table& table, uint64_t first_unsealed, uint64_t sealed_limit,
-    const SegmentOptions& options, uint64_t* next_content_id,
-    unsigned parallelism) {
+    const SegmentOptions& options, uint64_t* next_content_id) {
   INCDB_CHECK(options.segment_rows > 0);
   INCDB_CHECK(first_unsealed <= sealed_limit);
   const uint64_t pending = sealed_limit - first_unsealed;
@@ -109,7 +99,7 @@ Result<std::vector<std::shared_ptr<const Segment>>> BuildSegmentsParallel(
     out[i] = std::make_shared<const Segment>(std::move(seg));
     return Status::OK();
   };
-  INCDB_RETURN_IF_ERROR(RunTasks(count, parallelism, build));
+  INCDB_RETURN_IF_ERROR(RunTasks(count, HardwareWorkers(), build));
   return out;
 }
 

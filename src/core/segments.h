@@ -89,13 +89,12 @@ Result<Segment> BuildSealedSegment(const Table& table, uint64_t begin,
                                    uint64_t content_id);
 
 /// Seals every full segment in [first_unsealed, sealed_limit) in parallel
-/// (`parallelism` worker threads, min 1). Content ids are assigned
+/// (one worker per hardware thread). Content ids are assigned
 /// sequentially from *next_content_id, which is advanced past the ids used.
 /// Returns the new segments in row order.
 Result<std::vector<std::shared_ptr<const Segment>>> BuildSegmentsParallel(
     const Table& table, uint64_t first_unsealed, uint64_t sealed_limit,
-    const SegmentOptions& options, uint64_t* next_content_id,
-    unsigned parallelism);
+    const SegmentOptions& options, uint64_t* next_content_id);
 
 /// True when the zone map proves no row of `seg` can satisfy `query` —
 /// skipping the probe is then sound because the segment contributes only

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/bitutil.h"
+#include "common/task_runner.h"
 #include "common/thread_annotations.h"
 
 namespace incdb {
@@ -177,58 +177,35 @@ bool DeadlinePassed(std::chrono::steady_clock::time_point deadline) {
          std::chrono::steady_clock::now() >= deadline;
 }
 
-Status RunTasks(std::vector<LeafTask>* tasks, size_t num_threads,
-                std::chrono::steady_clock::time_point deadline) {
+/// Runs every leaf task on `num_threads` workers (0 = one per hardware
+/// thread) through the common task runner, then merges their stats.
+Status RunLeafTasks(std::vector<LeafTask>* tasks, size_t num_threads,
+                    std::chrono::steady_clock::time_point deadline) {
   // Two-phase worker coordination, made visible to the thread-safety
   // analysis: workers hold `phase` shared while executing leaf tasks; the
   // coordinator takes it exclusively (only after join) for the stats merge.
   ThreadRole phase;
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  num_threads = std::min(num_threads, tasks->size());
-  // Cooperative cancellation: each worker re-checks the deadline before
-  // claiming the next leaf task. The first expiry observation stops every
-  // worker at its next claim; tasks already running finish (their output is
-  // then discarded with the whole query).
+  // Cooperative cancellation: each task re-checks the deadline before it
+  // runs. The first expiry observation fails every later task at once;
+  // tasks already running finish (their output is then discarded with the
+  // whole query).
   std::atomic<bool> expired{false};
-  if (num_threads <= 1) {
-    phase.AcquireShared();
-    for (LeafTask& task : *tasks) {
-      if (DeadlinePassed(deadline)) {
-        expired.store(true, std::memory_order_relaxed);
-        break;
-      }
-      RunTask(&task, phase);
-    }
-    phase.ReleaseShared();
-  } else {
-    std::atomic<size_t> next{0};
-    std::vector<std::thread> threads;
-    threads.reserve(num_threads);
-    for (size_t t = 0; t < num_threads; ++t) {
-      threads.emplace_back([tasks, &next, &phase, &expired, deadline]() {
-        phase.AcquireShared();
-        for (;;) {
-          if (expired.load(std::memory_order_relaxed) ||
-              DeadlinePassed(deadline)) {
-            expired.store(true, std::memory_order_relaxed);
-            break;
-          }
-          const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= tasks->size()) break;
-          RunTask(&(*tasks)[i], phase);
+  const Status run = RunTasks(
+      tasks->size(), num_threads == 0 ? HardwareWorkers() : num_threads,
+      [&](size_t, size_t i) -> Status {
+        if (expired.load(std::memory_order_relaxed) ||
+            DeadlinePassed(deadline)) {
+          expired.store(true, std::memory_order_relaxed);
+          return Status::DeadlineExceeded(
+              "query deadline expired at a morsel boundary (" +
+              std::to_string(tasks->size()) + " leaf tasks planned)");
         }
+        phase.AcquireShared();
+        RunTask(&(*tasks)[i], phase);
         phase.ReleaseShared();
+        return Status::OK();
       });
-    }
-    for (std::thread& thread : threads) thread.join();
-  }
-  if (expired.load(std::memory_order_relaxed)) {
-    return Status::DeadlineExceeded(
-        "query deadline expired at a morsel boundary (" +
-        std::to_string(tasks->size()) + " leaf tasks planned)");
-  }
+  INCDB_RETURN_IF_ERROR(run);
   phase.Acquire();
   const Status merged = MergeTaskStats(tasks, phase);
   phase.Release();
@@ -418,7 +395,7 @@ Result<QueryResult> ExecutePlan(PhysicalPlan* plan,
         CollectTasks(child.get(), options.morsel_rows, &tasks));
   }
   INCDB_RETURN_IF_ERROR(
-      RunTasks(&tasks, options.num_threads, options.deadline));
+      RunLeafTasks(&tasks, options.num_threads, options.deadline));
 
   INCDB_ASSIGN_OR_RETURN(BitVector result, Combine(main));
   if (result.size() != plan->covered_rows) {
@@ -465,8 +442,8 @@ Result<BitVector> ExecutePlanToBitVector(PhysicalPlan* plan,
   std::vector<LeafTask> tasks;
   INCDB_RETURN_IF_ERROR(
       CollectTasks(plan->root.get(), ExecOptions().morsel_rows, &tasks));
-  INCDB_RETURN_IF_ERROR(RunTasks(&tasks, /*num_threads=*/1,
-                                 ExecOptions().deadline));
+  INCDB_RETURN_IF_ERROR(RunLeafTasks(&tasks, /*num_threads=*/1,
+                                     ExecOptions().deadline));
   INCDB_ASSIGN_OR_RETURN(BitVector result, Combine(plan->root.get()));
   if (stats != nullptr) stats->MergeFrom(AggregateStats(*plan->root));
   return result;

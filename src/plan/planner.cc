@@ -130,21 +130,21 @@ Access ChooseAccess(const internal::SnapshotState& state,
     access.decision.index_name =
         "SEG[" + segments.segments.front()->index->Name() + "]";
     access.decision.estimated_cost =
-        KindCost(schema, state.num_rows, segments.options.index_kind, leaves,
-                 semantics, selectivity);
+        KindCost(schema, state.missing_counts, state.num_rows,
+                 segments.options.index_kind, leaves, semantics, selectivity);
     return access;
   }
   access.covered_rows = state.num_rows;
   access.decision.index_kind = IndexKind::kSequentialScan;
   access.decision.index_name = "SeqScan";
   access.decision.estimated_cost =
-      KindCost(schema, state.num_rows, IndexKind::kSequentialScan, leaves,
-               semantics, selectivity);
+      KindCost(schema, state.missing_counts, state.num_rows,
+               IndexKind::kSequentialScan, leaves, semantics, selectivity);
   int best_rank = PreferenceRank(IndexKind::kSequentialScan, is_point);
   const internal::SnapshotIndexEntry* best = nullptr;
   for (const internal::SnapshotIndexEntry& entry : *state.indexes) {
-    const double cost = KindCost(schema, state.num_rows, entry.kind, leaves,
-                                 semantics, selectivity);
+    const double cost = KindCost(schema, state.missing_counts, state.num_rows,
+                                 entry.kind, leaves, semantics, selectivity);
     const int rank = PreferenceRank(entry.kind, is_point);
     if (cost < access.decision.estimated_cost ||
         (cost == access.decision.estimated_cost && rank < best_rank)) {

@@ -125,43 +125,29 @@ Result<WahBitVector> ReadWahBitvector(BinaryReader& catalog,
 
 /// Inverse of WriteBitmapIndex: wire metadata from the catalog stream, WAH
 /// code words borrowed zero-copy from the mapping. The header must match
-/// the registry kind; FromParts re-derives the slicer geometry from
-/// (scheme, cardinality) and validates every axis shape against it.
+/// the options of the record's kind; FromParts re-derives the slicer
+/// geometry from (scheme, cardinality) and validates every axis shape
+/// against it.
 Result<std::shared_ptr<const IncompleteIndex>> ReadBitmapIndex(
-    BinaryReader& catalog, const MappedFile& map, IndexKind kind,
-    size_t num_attributes, bool verify) {
+    BinaryReader& catalog, const MappedFile& map,
+    const BitmapIndex::Options& expected, size_t num_attributes,
+    bool verify) {
   BitmapIndex::Options options;
-  const bool direct = kind != IndexKind::kBitmapMultiComponent &&
-                      kind != IndexKind::kBitmapHierarchical;
+  const bool direct = expected.scheme == SlotScheme::kDirect;
   if (direct) {
     INCDB_ASSIGN_OR_RETURN(uint8_t encoding, catalog.ReadU8());
     INCDB_ASSIGN_OR_RETURN(uint8_t strategy, catalog.ReadU8());
-    if (encoding > static_cast<uint8_t>(BitmapEncoding::kBitSliced) ||
-        strategy > static_cast<uint8_t>(MissingStrategy::kAllZeros)) {
-      return Status::IOError("store catalog: corrupted bitmap options");
-    }
     options.encoding = static_cast<BitmapEncoding>(encoding);
     options.missing_strategy = static_cast<MissingStrategy>(strategy);
-    const BitmapEncoding expected =
-        kind == IndexKind::kBitmapEquality     ? BitmapEncoding::kEquality
-        : kind == IndexKind::kBitmapRange      ? BitmapEncoding::kRange
-        : kind == IndexKind::kBitmapInterval   ? BitmapEncoding::kInterval
-                                               : BitmapEncoding::kBitSliced;
-    if (options.encoding != expected) {
-      return Status::IOError(
-          "store catalog: bitmap encoding does not match its registry kind");
-    }
   } else {
     INCDB_ASSIGN_OR_RETURN(uint8_t scheme, catalog.ReadU8());
     options.scheme = static_cast<SlotScheme>(scheme);
-    const SlotScheme expected = kind == IndexKind::kBitmapMultiComponent
-                                    ? SlotScheme::kMultiComponent
-                                    : SlotScheme::kHierarchical;
-    if (options.scheme != expected) {
-      return Status::IOError(
-          "store catalog: bitmap slot scheme does not match its registry "
-          "kind");
-    }
+  }
+  if (options.encoding != expected.encoding ||
+      options.missing_strategy != expected.missing_strategy ||
+      options.scheme != expected.scheme) {
+    return Status::IOError(
+        "store catalog: bitmap header does not match its index kind");
   }
   INCDB_ASSIGN_OR_RETURN(uint64_t num_rows, catalog.ReadU64());
   INCDB_ASSIGN_OR_RETURN(uint64_t num_attrs, catalog.ReadU64());
@@ -214,21 +200,14 @@ Result<std::shared_ptr<const IncompleteIndex>> ReadBitmapIndex(
 }
 
 Result<std::shared_ptr<const IncompleteIndex>> ReadVaFile(
-    BinaryReader& catalog, const MappedFile& map, IndexKind kind,
+    BinaryReader& catalog, const MappedFile& map, VaQuantization expected,
     const Table& table) {
   VaFile::Options options;
   INCDB_ASSIGN_OR_RETURN(uint8_t quantization, catalog.ReadU8());
-  if (quantization > static_cast<uint8_t>(VaQuantization::kEquiDepth)) {
-    return Status::IOError("store catalog: corrupted VA-file options");
-  }
   options.quantization = static_cast<VaQuantization>(quantization);
-  const VaQuantization expected = kind == IndexKind::kVaFile
-                                      ? VaQuantization::kUniform
-                                      : VaQuantization::kEquiDepth;
   if (options.quantization != expected) {
     return Status::IOError(
-        "store catalog: VA-file quantization does not match its registry "
-        "kind");
+        "store catalog: VA-file quantization does not match its index kind");
   }
   INCDB_ASSIGN_OR_RETURN(uint32_t bits_override, catalog.ReadU32());
   options.bits_override = static_cast<int>(bits_override);
@@ -365,7 +344,8 @@ Result<LoadedSegment> OpenSegmentFile(const std::string& dir,
   }
   INCDB_ASSIGN_OR_RETURN(
       std::shared_ptr<const IncompleteIndex> index,
-      ReadBitmapIndex(meta, map, entry.kind, num_attrs, verify));
+      ReadBitmapIndex(meta, map, *FindIndexKind(entry.kind)->bitmap,
+                      num_attrs, verify));
   auto segment = std::make_shared<internal::Segment>();
   segment->content_id = entry.content_id;
   segment->begin_row = entry.begin_row;
@@ -520,8 +500,7 @@ Result<OpenedStore> OpenStore(const std::string& dir,
       INCDB_ASSIGN_OR_RETURN(seg_options.segment_rows, catalog.ReadU64());
       INCDB_ASSIGN_OR_RETURN(uint8_t options_kind, catalog.ReadU8());
       if (seg_options.segment_rows == 0 ||
-          options_kind > static_cast<uint8_t>(IndexKind::kBitmapHierarchical)
-          || !IsSegmentIndexKind(static_cast<IndexKind>(options_kind))) {
+          !IsSegmentIndexKind(static_cast<IndexKind>(options_kind))) {
         return Status::IOError("'" + catalog_path +
                                "': corrupted segment options");
       }
@@ -544,9 +523,7 @@ Result<OpenedStore> OpenStore(const std::string& dir,
         INCDB_ASSIGN_OR_RETURN(entry.begin_row, catalog.ReadU64());
         INCDB_ASSIGN_OR_RETURN(entry.num_rows, catalog.ReadU64());
         INCDB_ASSIGN_OR_RETURN(uint8_t kind_byte, catalog.ReadU8());
-        if (kind_byte >
-                static_cast<uint8_t>(IndexKind::kBitmapHierarchical) ||
-            !IsSegmentIndexKind(static_cast<IndexKind>(kind_byte))) {
+        if (!IsSegmentIndexKind(static_cast<IndexKind>(kind_byte))) {
           return Status::IOError("'" + catalog_path +
                                  "': corrupted segment index kind");
         }
@@ -649,12 +626,12 @@ Result<OpenedStore> OpenStore(const std::string& dir,
           "open it with an earlier build that still serves that kind, drop "
           "the index (Database::DropIndex) and save it");
     }
-    if (kind_byte > static_cast<uint8_t>(IndexKind::kBitmapHierarchical) ||
-        kind_byte == static_cast<uint8_t>(IndexKind::kSequentialScan)) {
+    const IndexKind kind = static_cast<IndexKind>(kind_byte);
+    const IndexKindInfo* info = FindIndexKind(kind);
+    if (info == nullptr || (!info->bitmap && !info->va)) {
       return Status::IOError("'" + catalog_path +
                              "': corrupted index kind tag");
     }
-    const IndexKind kind = static_cast<IndexKind>(kind_byte);
     internal::SnapshotIndexEntry entry;
     entry.kind = kind;
     INCDB_ASSIGN_OR_RETURN(entry.covered_rows, catalog.ReadU64());
@@ -662,27 +639,13 @@ Result<OpenedStore> OpenStore(const std::string& dir,
       return Status::IOError("'" + catalog_path +
                              "': index covers more rows than the table");
     }
-    switch (kind) {
-      case IndexKind::kBitmapEquality:
-      case IndexKind::kBitmapRange:
-      case IndexKind::kBitmapInterval:
-      case IndexKind::kBitmapBitSliced:
-      case IndexKind::kBitmapMultiComponent:
-      case IndexKind::kBitmapHierarchical: {
-        INCDB_ASSIGN_OR_RETURN(
-            entry.index,
-            ReadBitmapIndex(catalog, *mapping, kind, num_attrs,
-                            options.verify_checksums));
-        break;
-      }
-      case IndexKind::kVaFile:
-      case IndexKind::kVaPlusFile: {
-        INCDB_ASSIGN_OR_RETURN(
-            entry.index, ReadVaFile(catalog, *mapping, kind, *store.table));
-        break;
-      }
-      case IndexKind::kSequentialScan:
-        return Status::Internal("unreachable: scan kind rejected above");
+    if (info->bitmap.has_value()) {
+      INCDB_ASSIGN_OR_RETURN(
+          entry.index, ReadBitmapIndex(catalog, *mapping, *info->bitmap,
+                                       num_attrs, options.verify_checksums));
+    } else {
+      INCDB_ASSIGN_OR_RETURN(
+          entry.index, ReadVaFile(catalog, *mapping, *info->va, *store.table));
     }
     store.indexes.push_back(std::move(entry));
   }

@@ -193,20 +193,10 @@ Result<std::string> StageSegmentFile(const Table& table,
     meta.WriteU64(zone.missing);
   }
   for (const uint64_t offset : column_offsets) meta.WriteU64(offset);
-  switch (segment.index_kind) {
-    case IndexKind::kBitmapEquality:
-    case IndexKind::kBitmapRange:
-    case IndexKind::kBitmapInterval:
-    case IndexKind::kBitmapBitSliced:
-    case IndexKind::kBitmapMultiComponent:
-    case IndexKind::kBitmapHierarchical:
-      WriteBitmapIndex(static_cast<const BitmapIndex&>(*segment.index), seg,
-                       meta);
-      break;
-    default:
-      return Status::Internal(
-          "segment index kind has no per-segment wire form");
+  if (!IsSegmentIndexKind(segment.index_kind)) {
+    return Status::Internal("segment index kind has no per-segment wire form");
   }
+  WriteBitmapIndex(static_cast<const BitmapIndex&>(*segment.index), seg, meta);
   if (!meta.status().ok()) return meta.status();
 
   const std::string meta_bytes = meta_stream.str();
@@ -481,23 +471,14 @@ Status WriteSnapshot(const internal::SnapshotState& state,
     catalog.WriteU64(entry.covered_rows);
     seg.BeginSection("index/" + std::to_string(i) + "/" +
                      std::to_string(static_cast<int>(entry.kind)));
-    switch (entry.kind) {
-      case IndexKind::kBitmapEquality:
-      case IndexKind::kBitmapRange:
-      case IndexKind::kBitmapInterval:
-      case IndexKind::kBitmapBitSliced:
-      case IndexKind::kBitmapMultiComponent:
-      case IndexKind::kBitmapHierarchical:
-        WriteBitmapIndex(static_cast<const BitmapIndex&>(*entry.index), seg,
-                         catalog);
-        break;
-      case IndexKind::kVaFile:
-      case IndexKind::kVaPlusFile:
-        WriteVaFile(static_cast<const VaFile&>(*entry.index), seg, catalog);
-        break;
-      case IndexKind::kSequentialScan:
-        return Status::Internal(
-            "sequential scan must not appear in the index registry");
+    const IndexKindInfo* info = FindIndexKind(entry.kind);
+    if (info != nullptr && info->bitmap.has_value()) {
+      WriteBitmapIndex(static_cast<const BitmapIndex&>(*entry.index), seg,
+                       catalog);
+    } else if (info != nullptr && info->va.has_value()) {
+      WriteVaFile(static_cast<const VaFile&>(*entry.index), seg, catalog);
+    } else {
+      return Status::Internal("index registry holds a kind with no wire form");
     }
     sections.push_back(seg.EndSection());
   }

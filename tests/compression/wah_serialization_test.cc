@@ -1,6 +1,11 @@
+// The one WAH wire form: the store writes a vector's code words, active
+// word, active bits and size (storage/writer.cc WriteWahBitvector) and
+// reopens them zero-copy with FromBorrowed, plus ValidateStructure when
+// checksums are verified (storage/reader.cc).
+
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <vector>
 
 #include "common/rng.h"
 #include "compression/wah_bitvector.h"
@@ -21,58 +26,46 @@ WahBitVector RandomWah(Rng& rng, uint64_t n, double density) {
   return wah;
 }
 
+/// Reopens `words` the way the store reader does, validation included.
+Result<WahBitVector> Reopen(const std::vector<uint32_t>& words,
+                            uint32_t active_word, int active_bits,
+                            uint64_t size) {
+  INCDB_ASSIGN_OR_RETURN(
+      WahBitVector vec,
+      WahBitVector::FromBorrowed(words, active_word, active_bits, size));
+  INCDB_RETURN_IF_ERROR(vec.ValidateStructure());
+  return vec;
+}
+
 TEST(WahSerializationTest, RoundTripVariousShapes) {
   Rng rng(3);
   for (uint64_t n : {0u, 1u, 31u, 62u, 100u, 10000u}) {
     for (double density : {0.0, 0.01, 0.5, 1.0}) {
       const WahBitVector original = RandomWah(rng, n, density);
-      std::stringstream stream;
-      BinaryWriter writer(stream);
-      original.SaveTo(writer);
-      ASSERT_TRUE(writer.status().ok());
-      BinaryReader reader(stream);
-      const auto loaded = WahBitVector::LoadFrom(reader);
+      const std::vector<uint32_t> words(original.code_words().begin(),
+                                        original.code_words().end());
+      const auto loaded = Reopen(words, original.active_word(),
+                                 original.active_bits(), original.size());
       ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
       EXPECT_TRUE(loaded.value() == original) << "n=" << n << " d=" << density;
+      EXPECT_TRUE(loaded.value().Decompress() == original.Decompress());
     }
   }
 }
 
 TEST(WahSerializationTest, RejectsBadActiveBits) {
-  std::stringstream stream;
-  BinaryWriter writer(stream);
-  writer.WriteU64(10);   // size
-  writer.WriteU32(31);   // active_bits out of range
-  writer.WriteU32(0);
-  writer.WriteU32Vector({});
-  BinaryReader reader(stream);
-  EXPECT_EQ(WahBitVector::LoadFrom(reader).status().code(),
-            StatusCode::kIOError);
+  // active_bits must lie in [0, 31).
+  EXPECT_EQ(Reopen({}, 0, 31, 10).status().code(), StatusCode::kIOError);
 }
 
 TEST(WahSerializationTest, RejectsStrayActiveWordBits) {
-  std::stringstream stream;
-  BinaryWriter writer(stream);
-  writer.WriteU64(2);      // size: 2 bits
-  writer.WriteU32(2);      // active_bits = 2
-  writer.WriteU32(0xF);    // bits beyond the low 2 set
-  writer.WriteU32Vector({});
-  BinaryReader reader(stream);
-  EXPECT_EQ(WahBitVector::LoadFrom(reader).status().code(),
-            StatusCode::kIOError);
+  // Two active bits, but the active word sets bits beyond the low two.
+  EXPECT_EQ(Reopen({}, 0xF, 2, 2).status().code(), StatusCode::kIOError);
 }
 
 TEST(WahSerializationTest, RejectsSizeMismatch) {
-  WahBitVector wah;
-  wah.AppendRun(true, 62);
-  std::stringstream stream;
-  BinaryWriter writer(stream);
-  writer.WriteU64(93);  // wrong size for the payload below
-  writer.WriteU32(0);
-  writer.WriteU32(0);
-  writer.WriteU32Vector({0xC0000002u});  // 1-fill of 2 groups = 62 bits
-  BinaryReader reader(stream);
-  EXPECT_EQ(WahBitVector::LoadFrom(reader).status().code(),
+  // A 1-fill of 2 groups is 62 bits, not the declared 93.
+  EXPECT_EQ(Reopen({0xC0000002u}, 0, 0, 93).status().code(),
             StatusCode::kIOError);
 }
 
@@ -98,16 +91,14 @@ TEST(WahSerializationTest, ValidateStructureRejectsOverflowingFillCounts) {
 }
 
 TEST(WahSerializationTest, TruncatedPayloadFails) {
-  WahBitVector wah;
-  wah.AppendRun(true, 1000);
-  std::stringstream stream;
-  BinaryWriter writer(stream);
-  wah.SaveTo(writer);
-  std::string bytes = stream.str();
-  bytes.resize(bytes.size() / 2);
-  std::stringstream truncated(bytes);
-  BinaryReader reader(truncated);
-  EXPECT_FALSE(WahBitVector::LoadFrom(reader).ok());
+  Rng rng(5);
+  const WahBitVector wah = RandomWah(rng, 1000, 0.5);
+  std::vector<uint32_t> words(wah.code_words().begin(),
+                              wah.code_words().end());
+  ASSERT_GE(words.size(), 2u);
+  words.resize(words.size() / 2);
+  EXPECT_FALSE(
+      Reopen(words, wah.active_word(), wah.active_bits(), wah.size()).ok());
 }
 
 }  // namespace

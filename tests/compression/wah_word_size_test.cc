@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <vector>
 
 #include "common/rng.h"
 #include "compression/wah_bitvector.h"
@@ -69,13 +69,15 @@ TYPED_TEST(WahWordSizeTest, SerializationRoundTrip) {
   Rng rng(44);
   const BitVector dense = RandomRuns(rng, 10000, 0.05);
   const auto original = TestFixture::Wah::Compress(dense);
-  std::stringstream stream;
-  BinaryWriter writer(stream);
-  original.SaveTo(writer);
-  BinaryReader reader(stream);
-  const auto loaded = TestFixture::Wah::LoadFrom(reader);
+  // The store's wire form: code words reopened in place, then validated.
+  const std::vector<TypeParam> words(original.code_words().begin(),
+                                     original.code_words().end());
+  const auto loaded = TestFixture::Wah::FromBorrowed(
+      words, original.active_word(), original.active_bits(), original.size());
   ASSERT_TRUE(loaded.ok());
+  EXPECT_TRUE(loaded.value().ValidateStructure().ok());
   EXPECT_TRUE(loaded.value() == original);
+  EXPECT_TRUE(loaded.value().Decompress() == dense);
 }
 
 TYPED_TEST(WahWordSizeTest, IncompressibleRatioIsWordOverGroup) {

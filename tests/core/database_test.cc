@@ -42,6 +42,16 @@ TEST(DatabaseTest, QueryRejectsUnknownAttributeAndBadInterval) {
   EXPECT_EQ(run("rating", 4, 2), StatusCode::kInvalidArgument);
 }
 
+/// Bitvectors read when a store holding only `kind` serves `request`.
+uint64_t ReadsWithOnly(IndexKind kind, const QueryRequest& request) {
+  Database db = MakeSmallDb();
+  EXPECT_TRUE(db.BuildIndex(kind).ok());
+  const auto result = db.Run(request);
+  EXPECT_TRUE(result.ok());
+  EXPECT_EQ(result->routing.index_kind, kind);
+  return result->stats.bitvectors_accessed;
+}
+
 TEST(DatabaseTest, RoutingPrefersBeeForPointsAndBreForRanges) {
   Database db = MakeSmallDb();
   ASSERT_TRUE(db.BuildIndex(IndexKind::kBitmapEquality).ok());
@@ -49,9 +59,28 @@ TEST(DatabaseTest, RoutingPrefersBeeForPointsAndBreForRanges) {
   const auto point = db.Run(QueryRequest::Terms({{"rating", 3, 3}}));
   ASSERT_TRUE(point.ok());
   EXPECT_EQ(point->chosen_index, "BEE-WAH");  // point query → equality
-  const auto range = db.Run(QueryRequest::Terms({{"rating", 2, 4}}));
+  // rating IN [1,3]: BRE reads B_3 alone, BEE its two outside bitmaps.
+  const QueryRequest range_request = QueryRequest::Terms({{"rating", 1, 3}});
+  const auto range = db.Run(range_request);
   ASSERT_TRUE(range.ok());
   EXPECT_EQ(range->chosen_index, "BRE-WAH");  // range query → range encoding
+  EXPECT_LT(ReadsWithOnly(IndexKind::kBitmapRange, range_request),
+            ReadsWithOnly(IndexKind::kBitmapEquality, range_request));
+}
+
+TEST(DatabaseTest, RoutingPicksBeeForARangeItReadsFewerBitvectorsFor) {
+  Database db = MakeSmallDb();
+  ASSERT_TRUE(db.BuildIndex(IndexKind::kBitmapEquality).ok());
+  ASSERT_TRUE(db.BuildIndex(IndexKind::kBitmapRange).ok());
+  // rating IN [2,4] under match, C = 5: BEE complements its two outside
+  // bitmaps (Fig. 2); BRE XORs B_4 with B_1 and ORs in B_0 (Fig. 3).
+  const QueryRequest request = QueryRequest::Terms({{"rating", 2, 4}});
+  const auto range = db.Run(request);
+  ASSERT_TRUE(range.ok());
+  EXPECT_EQ(range->chosen_index, "BEE-WAH");
+  EXPECT_EQ(range->stats.bitvectors_accessed, 2u);
+  EXPECT_EQ(ReadsWithOnly(IndexKind::kBitmapEquality, request), 2u);
+  EXPECT_EQ(ReadsWithOnly(IndexKind::kBitmapRange, request), 3u);
 }
 
 TEST(DatabaseTest, RoutingFallsDownThePreferenceList) {

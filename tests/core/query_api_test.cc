@@ -44,13 +44,24 @@ TEST(QueryApiTest, RunRecordsRoutingDecisionPerQueryShape) {
   EXPECT_EQ(point->routing.index_kind, IndexKind::kBitmapEquality);
   EXPECT_TRUE(point->routing.is_point_query);
 
-  const auto range = db.Run(QueryRequest::Terms({{"rating", 2, 4}}));
+  // rating IN [1,3]: BRE reads one bitvector (B_3), BEE two (the outside
+  // B_4 and B_5), so the range goes to BRE.
+  const auto range = db.Run(QueryRequest::Terms({{"rating", 1, 3}}));
   ASSERT_TRUE(range.ok());
   EXPECT_EQ(range->routing.index_kind, IndexKind::kBitmapRange);
   EXPECT_FALSE(range->routing.is_point_query);
-  // BRE reads fewer bitvectors than BEE would for this range: its predicted
-  // cost must undercut the point plan's per-width cost model.
+  EXPECT_EQ(range->stats.bitvectors_accessed, 1u);
   EXPECT_GT(range->routing.estimated_cost, 0.0);
+
+  // rating IN [2,4]: BEE reads two bitvectors and BRE three (B_4, B_1 and
+  // B_0), so this range goes to BEE, charged twice the one-read range.
+  const auto wide = db.Run(QueryRequest::Terms({{"rating", 2, 4}}));
+  ASSERT_TRUE(wide.ok());
+  EXPECT_EQ(wide->routing.index_kind, IndexKind::kBitmapEquality);
+  EXPECT_FALSE(wide->routing.is_point_query);
+  EXPECT_EQ(wide->stats.bitvectors_accessed, 2u);
+  EXPECT_DOUBLE_EQ(wide->routing.estimated_cost,
+                   2.0 * range->routing.estimated_cost);
 }
 
 TEST(QueryApiTest, RunSurfacesQueryStatsFromTheServingIndex) {

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/io.h"
@@ -205,6 +207,64 @@ TEST_F(StorageCorruptionTest, UnverifiedOpenRejectsHugeVaFileLengths) {
   Restore(catalog);
 }
 
+/// The bytes BinaryWriter emits for whatever `write` writes.
+template <typename Write>
+std::string Bytes(const Write& write) {
+  std::ostringstream stream;
+  BinaryWriter writer(stream);
+  write(writer);
+  return stream.str();
+}
+
+/// Overwrites the one occurrence of `from` in `path` with `to` (same
+/// length) and returns the file's CRC before and after.
+std::pair<uint32_t, uint32_t> PatchFile(const std::string& path,
+                                        const std::string& from,
+                                        const std::string& to) {
+  std::string bytes = ReadFile(path);
+  const size_t at = bytes.find(from);
+  EXPECT_NE(at, std::string::npos) << path;
+  EXPECT_EQ(bytes.find(from, at + 1), std::string::npos) << path;
+  EXPECT_EQ(from.size(), to.size());
+  if (at == std::string::npos) return {0, 0};
+  const uint32_t old_crc = storage::Crc32(bytes.data(), bytes.size());
+  bytes.replace(at, to.size(), to);
+  WriteFile(path, bytes);
+  return {old_crc, storage::Crc32(bytes.data(), bytes.size())};
+}
+
+std::string Le32(uint32_t v) {
+  return Bytes([v](BinaryWriter& w) { w.WriteU32(v); });
+}
+
+/// Patches generation 1's catalog of the store at `dir` and re-signs it, so
+/// the edit reaches the reader past the checksums even when they are
+/// verified: the catalog is one section, so its CRC sits once in the
+/// manifest's section table, followed by the manifest's own trailing CRC.
+void PatchCatalog(const std::string& dir, const std::string& from,
+                  const std::string& to) {
+  const auto [old_crc, new_crc] =
+      PatchFile(dir + "/" + storage::CatalogFileName(1), from, to);
+  const std::string manifest_file = dir + "/" + storage::kManifestFile;
+  std::string manifest = ReadFile(manifest_file);
+  const size_t body = manifest.size() - 4;
+  const std::string table_bytes = manifest.substr(0, body);
+  const size_t crc_at = table_bytes.find(Le32(old_crc));
+  ASSERT_NE(crc_at, std::string::npos);
+  ASSERT_EQ(table_bytes.find(Le32(old_crc), crc_at + 1), std::string::npos);
+  manifest.replace(crc_at, 4, Le32(new_crc));
+  manifest.replace(body, 4, Le32(storage::Crc32(manifest.data(), body)));
+  WriteFile(manifest_file, manifest);
+}
+
+/// The registry record head: u8 kind, u64 covered rows.
+std::string RecordHead(IndexKind kind, uint64_t rows) {
+  return Bytes([&](BinaryWriter& w) {
+    w.WriteU8(static_cast<uint8_t>(kind));
+    w.WriteU64(rows);
+  });
+}
+
 // Kind bytes 7 and 8 were the MOSAIC and bitstring-augmented R-tree
 // baselines. A store that still holds one must fail to open with a Status
 // naming the removed kind, not as a corrupted tag and never by crashing.
@@ -219,41 +279,12 @@ TEST_P(RetiredIndexKindTest, OpenNamesTheRemovedKind) {
   const std::string dir = StoreDir("retired");
   ASSERT_TRUE(db.Save(dir).ok());
 
-  // The registry record is u64 index count, u8 kind, u64 covered rows.
-  std::ostringstream record_stream;
-  BinaryWriter record(record_stream);
-  record.WriteU64(1);
-  record.WriteU8(static_cast<uint8_t>(IndexKind::kBitmapEquality));
-  record.WriteU64(rows);
-  const std::string catalog_file = dir + "/" + storage::CatalogFileName(1);
-  std::string catalog = ReadFile(catalog_file);
-  const size_t at = catalog.find(record_stream.str());
-  ASSERT_NE(at, std::string::npos);
-  ASSERT_EQ(catalog.find(record_stream.str(), at + 1), std::string::npos);
-  const uint32_t old_crc = storage::Crc32(catalog.data(), catalog.size());
-  catalog[at + sizeof(uint64_t)] = static_cast<char>(GetParam());
-  const uint32_t new_crc = storage::Crc32(catalog.data(), catalog.size());
-  WriteFile(catalog_file, catalog);
-
-  // Re-sign: the catalog is one section, so its CRC sits once in the
-  // manifest's section table; then the manifest's own trailing CRC.
-  const auto le32 = [](uint32_t v) {
-    std::string bytes(4, '\0');
-    for (int b = 0; b < 4; ++b) {
-      bytes[static_cast<size_t>(b)] = static_cast<char>((v >> (8 * b)) & 0xFF);
-    }
-    return bytes;
-  };
-  const std::string manifest_file = dir + "/" + storage::kManifestFile;
-  std::string manifest = ReadFile(manifest_file);
-  const size_t body = manifest.size() - 4;
-  const std::string table_bytes = manifest.substr(0, body);
-  const size_t crc_at = table_bytes.find(le32(old_crc));
-  ASSERT_NE(crc_at, std::string::npos);
-  ASSERT_EQ(table_bytes.find(le32(old_crc), crc_at + 1), std::string::npos);
-  manifest.replace(crc_at, 4, le32(new_crc));
-  manifest.replace(body, 4, le32(storage::Crc32(manifest.data(), body)));
-  WriteFile(manifest_file, manifest);
+  // The registry is a u64 index count, then one record per index.
+  const std::string count = Bytes([](BinaryWriter& w) { w.WriteU64(1); });
+  std::string retired = count + RecordHead(IndexKind::kBitmapEquality, rows);
+  retired[sizeof(uint64_t)] = static_cast<char>(GetParam());
+  PatchCatalog(dir, count + RecordHead(IndexKind::kBitmapEquality, rows),
+               retired);
 
   const char* removed = GetParam() == 7 ? "MOSAIC" : "bitstring-augmented";
   for (bool verify : {true, false}) {
@@ -264,6 +295,157 @@ TEST_P(RetiredIndexKindTest, OpenNamesTheRemovedKind) {
     EXPECT_NE(message.find(removed), std::string::npos) << message;
     EXPECT_NE(message.find("no longer served"), std::string::npos) << message;
   }
+}
+
+/// Each case saves a store holding one index, rewrites one header byte so
+/// it disagrees with the record's kind, and expects both verified and
+/// unverified opens to refuse the store with an IOError saying why.
+class KindHeaderMismatchTest : public TempStoreTest<> {
+ protected:
+  void ExpectOpenRefused(const std::string& dir, const std::string& why) {
+    for (bool verify : {true, false}) {
+      const auto opened = Database::Open(dir, verify);
+      ASSERT_FALSE(opened.ok()) << "verify=" << verify;
+      EXPECT_EQ(opened.status().code(), StatusCode::kIOError);
+      EXPECT_NE(opened.status().ToString().find(why), std::string::npos)
+          << opened.status().ToString();
+    }
+  }
+
+  /// Saves a store holding one registry index of `kind`; returns its rows.
+  uint64_t SaveWithIndex(IndexKind kind, const std::string& dir) {
+    Database db =
+        std::move(Database::FromTable(GenerateTable(CorruptionSpec()).value())
+                      .value());
+    EXPECT_TRUE(db.BuildIndex(kind).ok());
+    EXPECT_TRUE(db.Save(dir).ok());
+    EXPECT_TRUE(Database::Open(dir).ok());
+    return db.num_rows();
+  }
+
+  /// Saves a store whose 64-row segments carry BEE; returns the one
+  /// segment file's name.
+  std::string SaveSegmented(const std::string& dir) {
+    Database db =
+        std::move(Database::FromTable(GenerateTable(CorruptionSpec()).value())
+                      .value());
+    SegmentOptions options;
+    options.segment_rows = 64;
+    EXPECT_TRUE(db.EnableSegments(options).ok());
+    EXPECT_TRUE(db.Save(dir).ok());
+    EXPECT_TRUE(Database::Open(dir).ok());
+    std::string segment_file;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      const std::string name = entry.path().filename().string();
+      if (storage::IsSegmentDataFileName(name)) {
+        EXPECT_TRUE(segment_file.empty()) << "more than one segment file";
+        segment_file = name;
+      }
+    }
+    EXPECT_FALSE(segment_file.empty());
+    return segment_file;
+  }
+};
+
+TEST_F(KindHeaderMismatchTest, BitmapEncodingByteDisagreesWithKind) {
+  const std::string dir = StoreDir("bee");
+  const uint64_t rows = SaveWithIndex(IndexKind::kBitmapEquality, dir);
+  // BEE's header is u8 encoding, u8 missing strategy, u64 rows; claim BRE.
+  const auto header = [rows](BitmapEncoding encoding) {
+    return Bytes([&](BinaryWriter& w) {
+      w.WriteU8(static_cast<uint8_t>(encoding));
+      w.WriteU8(static_cast<uint8_t>(MissingStrategy::kExtraBitmap));
+      w.WriteU64(rows);
+    });
+  };
+  const std::string head = RecordHead(IndexKind::kBitmapEquality, rows);
+  PatchCatalog(dir, head + header(BitmapEncoding::kEquality),
+               head + header(BitmapEncoding::kRange));
+  ExpectOpenRefused(dir, "bitmap header does not match its index kind");
+}
+
+TEST_F(KindHeaderMismatchTest, CompositeSchemeByteDisagreesWithKind) {
+  const std::string dir = StoreDir("hier");
+  const uint64_t rows = SaveWithIndex(IndexKind::kBitmapHierarchical, dir);
+  // A composite header is u8 slot scheme, u64 rows; claim multi-component.
+  const auto header = [rows](SlotScheme scheme) {
+    return Bytes([&](BinaryWriter& w) {
+      w.WriteU8(static_cast<uint8_t>(scheme));
+      w.WriteU64(rows);
+    });
+  };
+  const std::string head = RecordHead(IndexKind::kBitmapHierarchical, rows);
+  PatchCatalog(dir, head + header(SlotScheme::kHierarchical),
+               head + header(SlotScheme::kMultiComponent));
+  ExpectOpenRefused(dir, "bitmap header does not match its index kind");
+}
+
+TEST_F(KindHeaderMismatchTest, VaQuantizationDisagreesWithKind) {
+  const std::string dir = StoreDir("va");
+  const uint64_t rows = SaveWithIndex(IndexKind::kVaFile, dir);
+  // A VA header is u8 quantization, u32 bits override; claim equi-depth.
+  const auto header = [](VaQuantization quantization) {
+    return Bytes([&](BinaryWriter& w) {
+      w.WriteU8(static_cast<uint8_t>(quantization));
+      w.WriteU32(0);
+    });
+  };
+  const std::string head = RecordHead(IndexKind::kVaFile, rows);
+  PatchCatalog(dir, head + header(VaQuantization::kUniform),
+               head + header(VaQuantization::kEquiDepth));
+  ExpectOpenRefused(dir, "VA-file quantization does not match its index kind");
+}
+
+TEST_F(KindHeaderMismatchTest, SegmentOptionsKindIsNotASegmentKind) {
+  const std::string dir = StoreDir("seg_options");
+  SaveSegmented(dir);
+  // The segment table opens with u8 flag, u64 segment rows, u8 kind, u64
+  // sealed rows.
+  const auto options = [](IndexKind kind) {
+    return Bytes([&](BinaryWriter& w) {
+      w.WriteU8(1);
+      w.WriteU64(64);
+      w.WriteU8(static_cast<uint8_t>(kind));
+      w.WriteU64(64);
+    });
+  };
+  PatchCatalog(dir, options(IndexKind::kBitmapEquality),
+               options(IndexKind::kVaFile));
+  ExpectOpenRefused(dir, "corrupted segment options");
+}
+
+TEST_F(KindHeaderMismatchTest, SegmentEntryKindIsNotASegmentKind) {
+  const std::string dir = StoreDir("seg_entry");
+  const std::string file = SaveSegmented(dir);
+  // Each segment-table entry ends u8 kind, then the file name string.
+  const auto entry = [&file](IndexKind kind) {
+    return Bytes([&](BinaryWriter& w) {
+      w.WriteU8(static_cast<uint8_t>(kind));
+      w.WriteString(file);
+    });
+  };
+  PatchCatalog(dir, entry(IndexKind::kBitmapEquality),
+               entry(IndexKind::kVaFile));
+  ExpectOpenRefused(dir, "corrupted segment index kind");
+}
+
+TEST_F(KindHeaderMismatchTest, SegmentFileKindIsNotASegmentKind) {
+  const std::string dir = StoreDir("seg_file");
+  const std::string file = SaveSegmented(dir);
+  // The segment file's meta block carries u64 rows, u64 attributes, u8
+  // kind; its CRC sits in the catalog's segment table, which is re-signed.
+  const auto meta = [](IndexKind kind) {
+    return Bytes([&](BinaryWriter& w) {
+      w.WriteU64(64);
+      w.WriteU64(2);
+      w.WriteU8(static_cast<uint8_t>(kind));
+    });
+  };
+  const auto [old_crc, new_crc] =
+      PatchFile(dir + "/" + file, meta(IndexKind::kBitmapEquality),
+                meta(IndexKind::kVaFile));
+  PatchCatalog(dir, Le32(old_crc), Le32(new_crc));
+  ExpectOpenRefused(dir, "segment identity does not match the catalog");
 }
 
 INSTANTIATE_TEST_SUITE_P(MosaicAndBitstring, RetiredIndexKindTest,

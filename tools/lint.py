@@ -46,6 +46,13 @@ Checks, over the committed sources (no build needed):
                     wrappers in server/net.h and the Client library, so
                     error handling (Status, EINTR, partial I/O, SIGPIPE)
                     lives in exactly one audited place.
+  kind-table        `case IndexKind::` is banned in src/ outside
+                    core/index_factory.cc. Each served kind has one row in
+                    the kind table there (name, alias, and the bitmap
+                    options or VA quantization it is built from); the
+                    factory, the store, the segment layer, the cost model
+                    and the advisor read that row instead of switching on
+                    the kind, so adding or changing a kind is one edit.
 
 A finding on one line can be suppressed — with justification in an adjacent
 comment — by appending `lint:allow(<rule>)` in a comment on that line.
@@ -158,6 +165,10 @@ SLICER_ALLOWED_SELF = frozenset({"bitmap/slicer.h"})
 ALLOWED_IMPL_EXTRA_DEPS = {
     "core": {"plan"},
 }
+
+# The one file allowed to switch on IndexKind (see kind-table above).
+KIND_TABLE_FILE = "src/core/index_factory.cc"
+KIND_CASE_RE = re.compile(r"\bcase\s+IndexKind::")
 
 SUPPRESS_RE = re.compile(r"lint:allow\(([a-z-]+)\)")
 
@@ -306,6 +317,12 @@ class Linter:
 
             if in_lib:
                 self.check_include(path, lineno, code, raw, rel)
+                if rel.replace(os.sep, "/") != KIND_TABLE_FILE and \
+                        KIND_CASE_RE.search(code):
+                    self.report(path, lineno, "kind-table",
+                                "`case IndexKind::` outside the kind table; "
+                                "read the kind's row (FindIndexKind in "
+                                "core/index_factory.h) instead", raw)
 
         if in_lib and path.endswith(".h"):
             self.check_header_guard(path, code_lines, rel)
